@@ -9,122 +9,22 @@ the achievable variance reduction, a likelihood-based identification
 variant, and seeded experiment runners behind a CLI.
 """
 
-from .batch import BatchResult, EMin, attainable_error, batch_correct, e_min
-from .bounds import (
-    BoundReport,
-    UniformVariance,
-    monte_carlo_report,
-    project_sum,
-    uniform_variance,
-    var_bound_abs,
-    var_bound_ratio_paper,
-)
-from .core import (
-    Categorical,
-    CountVector,
-    ObservationSequence,
-    Seed,
-    counts_from_sequence,
-    empirical_estimate,
-    l1_error,
-    sample_sequence,
-)
-from .dp import (
-    CeilingExceededError,
-    Policy,
-    ValueTable,
-    brute_force_value,
-    policy_dump,
-    root_value,
-    solve,
-    value_at,
-)
-from .likelihood import (
-    CandidateModel,
-    CandidateSet,
-    bio_terminal_reward,
-    default_candidates,
-    misclassification_experiment,
-    ml_estimate,
-    negative_log_likelihood,
-)
-from .mdp import (
-    Action,
-    BudgetExhaustedError,
-    MdpSpec,
-    TeacherState,
-    TerminalReward,
-    apply_action,
-    feasible_actions,
-    initial_states,
-    is_terminal,
-    l1_terminal_reward,
-    state_count_bound,
-    terminal_value,
-    transitions,
-)
-from .teacher import (
-    BinomialThresholdPolicy,
-    OnlineTrace,
-    binomial_policy_action,
-    expected_online_error,
-    run_online,
-)
+from .batch import batch_correct
+from .core import Categorical, Seed, counts_from_sequence, sample_sequence
+from .dp import solve
+from .mdp import MdpSpec, l1_terminal_reward
+from .teacher import run_online
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Action",
-    "BatchResult",
-    "BinomialThresholdPolicy",
-    "BoundReport",
-    "BudgetExhaustedError",
-    "CandidateModel",
-    "CandidateSet",
     "Categorical",
-    "CeilingExceededError",
-    "CountVector",
-    "EMin",
     "MdpSpec",
-    "ObservationSequence",
-    "OnlineTrace",
-    "Policy",
     "Seed",
-    "TeacherState",
-    "TerminalReward",
-    "UniformVariance",
-    "ValueTable",
-    "apply_action",
-    "attainable_error",
     "batch_correct",
-    "binomial_policy_action",
-    "bio_terminal_reward",
-    "brute_force_value",
     "counts_from_sequence",
-    "default_candidates",
-    "e_min",
-    "empirical_estimate",
-    "expected_online_error",
-    "feasible_actions",
-    "initial_states",
-    "is_terminal",
-    "l1_error",
     "l1_terminal_reward",
-    "misclassification_experiment",
-    "ml_estimate",
-    "monte_carlo_report",
-    "negative_log_likelihood",
-    "policy_dump",
-    "project_sum",
-    "root_value",
     "run_online",
     "sample_sequence",
     "solve",
-    "state_count_bound",
-    "terminal_value",
-    "transitions",
-    "uniform_variance",
-    "value_at",
-    "var_bound_abs",
-    "var_bound_ratio_paper",
 ]

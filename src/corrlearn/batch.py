@@ -12,12 +12,7 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .core import Categorical, CountVector, count_vectors, empirical_estimate, l1_error
-
-# Below this many candidate count vectors the exact optimum is found by
-# enumeration; above it the greedy unit-move path is used (verified equal
-# on enumerable instances by the test suite).
-ENUM_LIMIT = 200_000
+from .core import Categorical, CountVector, empirical_estimate, l1_error
 
 
 class EMin(NamedTuple):
@@ -57,32 +52,16 @@ def _apportion(theta0: Categorical, n: int) -> tuple[int, ...]:
     return tuple(counts)
 
 
-def e_min(n: int, theta0: Categorical, method: str = "auto") -> EMin:
+def e_min(n: int, theta0: Categorical) -> EMin:
     """Minimum l1 error reachable with n samples, over all count vectors.
 
     The floor exists because counts are integers: theta0*n generally is
-    not. ``method`` picks enumeration ("enumerate"), largest-remainder
-    apportionment ("apportion"), or whichever is cheap ("auto"); both are
-    exact and the tests check they agree wherever enumeration is feasible.
+    not. Largest-remainder apportionment (``_apportion``) attains it exactly.
     """
     if n < 1:
         raise ValueError("need at least one sample")
-    if method == "auto":
-        method = "enumerate" if math.comb(n + theta0.k - 1, theta0.k - 1) <= ENUM_LIMIT else "apportion"
-    if method == "apportion":
-        counts = CountVector(_apportion(theta0, n), n)
-        return EMin(l1_error(empirical_estimate(counts), theta0), counts)
-    if method != "enumerate":
-        raise ValueError(f"unknown method {method!r}")
-    best_err = math.inf
-    best: tuple[int, ...] | None = None
-    for cand in count_vectors(n, theta0.k):
-        err = math.fsum(abs(c / n - p) for c, p in zip(cand, theta0.probs))
-        if err < best_err - 1e-15:  # strict: keeps the lexicographically smallest
-            best_err = err
-            best = cand
-    assert best is not None
-    return EMin(best_err, CountVector(best, n))
+    counts = CountVector(_apportion(theta0, n), n)
+    return EMin(l1_error(empirical_estimate(counts), theta0), counts)
 
 
 def attainable_error(
@@ -103,11 +82,12 @@ def attainable_error(
 def _greedy_correct(
     counts: tuple[int, ...], theta0: Categorical, budget: int, n: int
 ) -> tuple[int, ...]:
-    """Move one observation at a time from the most over-full class to the
-    most under-full one; stop when no move strictly helps.
+    """Make up to ``budget`` steepest unit moves; stop when none strictly helps.
 
     Per-class cost |c_i - n*theta_i| is convex in c_i, so steepest unit
-    moves reach the exact optimum.
+    moves reach the exact optimum. Each step takes the move of largest
+    gain; among moves of equal gain (within 1e-15) it takes the first
+    (source, target) pair in ascending index order.
     """
     targets = [p * n for p in theta0.probs]
     current = list(counts)
@@ -135,13 +115,13 @@ def _greedy_correct(
 
 
 def batch_correct(
-    counts: CountVector, theta0: Categorical, budget: int, method: str = "auto"
+    counts: CountVector, theta0: Categorical, budget: int
 ) -> BatchResult:
     """Optimally re-assign at most ``budget`` observations between classes.
 
-    One budget unit moves one observation (count distance 2). Ties among
-    optimal corrected vectors go to the lexicographically smallest, so
-    results are reproducible byte for byte.
+    One budget unit moves one observation (count distance 2). The optimum
+    is reached by steepest unit moves; when several corrected vectors tie,
+    the result is the one their tie rule reaches (see ``_greedy_correct``).
     """
     if budget < 0:
         raise ValueError("budget must be nonnegative")
@@ -150,29 +130,10 @@ def batch_correct(
     n = counts.total
     if n < 1:
         raise ValueError("no observations")
-    if method == "auto":
-        method = "enumerate" if math.comb(n + counts.k - 1, counts.k - 1) <= ENUM_LIMIT else "greedy"
-    original = counts.counts
-    if budget == 0:
-        corrected = original
-    elif method == "greedy":
-        corrected = _greedy_correct(original, theta0, budget, n)
-    elif method == "enumerate":
-        best_err = math.inf
-        best = original
-        for cand in count_vectors(n, counts.k):
-            if _moves_between(original, cand) > budget:
-                continue
-            err = math.fsum(abs(c / n - p) for c, p in zip(cand, theta0.probs))
-            if err < best_err - 1e-15:
-                best_err = err
-                best = cand
-        corrected = best
-    else:
-        raise ValueError(f"unknown method {method!r}")
+    corrected = _greedy_correct(counts.counts, theta0, budget, n)
     corrected_cv = CountVector(corrected, counts.n_target)
     return BatchResult(
         corrected=corrected_cv,
-        corrections_used=_moves_between(original, corrected),
+        corrections_used=_moves_between(counts.counts, corrected),
         error=l1_error(empirical_estimate(corrected_cv), theta0),
     )

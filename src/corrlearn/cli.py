@@ -17,7 +17,6 @@ from .experiments import (
     ExperimentConfig,
     InvariantViolationError,
     run_and_format,
-    run_bounds,
     write_output,
 )
 from .mdp import MdpSpec, l1_terminal_reward
@@ -107,25 +106,6 @@ def _experiment_config(args: argparse.Namespace) -> ExperimentConfig:
     return ExperimentConfig(**clean)
 
 
-def _warn_ratio_bound(config: ExperimentConfig) -> None:
-    # The ratio-form bound's derivation uses an overstated per-draw
-    # variance, so the empirical ratio can exceed it. Surface that rather
-    # than asserting it away; the absolute bound is the checked one.
-    violations = [
-        (r.n, r.m, r.b)
-        for r in run_bounds(config)
-        if r.empirical_ratio > r.bound_ratio_paper
-    ]
-    if violations:
-        print(
-            f"note: empirical variance ratio exceeds the stated ratio bound at "
-            f"{len(violations)} grid point(s) (first: N,M,B={violations[0]}); "
-            f"the ratio bound is reported for reference only, the absolute "
-            f"bound is the verified one.",
-            file=sys.stderr,
-        )
-
-
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -140,8 +120,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         config = _experiment_config(args)
         text = run_and_format(config)
         write_output(text, config.output)
-        if config.experiment == "bounds":
-            _warn_ratio_bound(config)
         return EXIT_OK
     except CeilingExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
@@ -148,14 +147,3 @@ def counts_from_sequence(seq: ObservationSequence) -> CountVector:
     for v in seq.values:
         counts[v] += 1
     return CountVector(tuple(counts), len(seq))
-
-
-def count_vectors(total: int, k: int) -> Iterator[tuple[int, ...]]:
-    """All k-dimensional nonnegative integer vectors summing to ``total``,
-    in lexicographic order."""
-    if k == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in count_vectors(total - first, k - 1):
-            yield (first,) + rest

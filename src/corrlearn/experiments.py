@@ -9,6 +9,7 @@ endings; JSON output carries the same rows as objects.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Any, Sequence
@@ -237,6 +238,23 @@ def run_bounds(config: ExperimentConfig) -> list[BoundReport]:
     return reports
 
 
+def _warn_ratio_bound(reports: Sequence[BoundReport]) -> None:
+    # The ratio-form bound's derivation uses an overstated per-draw
+    # variance, so the empirical ratio can exceed it. Surface that rather
+    # than asserting it away; the absolute bound is the checked one.
+    violations = [
+        (r.n, r.m, r.b) for r in reports if r.empirical_ratio > r.bound_ratio_paper
+    ]
+    if violations:
+        print(
+            f"note: empirical variance ratio exceeds the stated ratio bound at "
+            f"{len(violations)} grid point(s) (first: N,M,B={violations[0]}); "
+            f"the ratio bound is reported for reference only, the absolute "
+            f"bound is the verified one.",
+            file=sys.stderr,
+        )
+
+
 def run_bio(config: ExperimentConfig) -> list[dict[str, Any]]:
     """Misclassification rates per (n, budget) for the identification task."""
     candidates = (
@@ -295,7 +313,9 @@ def run_and_format(config: ExperimentConfig) -> str:
         rows = [tuple(r[c] for c in columns) for r in raw]
     elif config.experiment == "bounds":
         columns = BOUND_CSV_COLUMNS
-        rows = [r.csv_values() for r in run_bounds(config)]
+        reports = run_bounds(config)
+        _warn_ratio_bound(reports)
+        rows = [r.csv_values() for r in reports]
     elif config.experiment == "bio":
         columns = BIO_COLUMNS
         raw = run_bio(config)

@@ -13,8 +13,13 @@ import math
 from dataclasses import dataclass
 from typing import Protocol
 
-from .core import Categorical, ObservationSequence, empirical_estimate, l1_error
-from .core import CountVector
+from .core import (
+    Categorical,
+    ObservationSequence,
+    counts_from_sequence,
+    empirical_estimate,
+    l1_error,
+)
 from .mdp import Action, TeacherState
 
 
@@ -28,12 +33,6 @@ class OnlineTrace:
     corrected: ObservationSequence
     actions: tuple[Action, ...]
     budget_spent: int
-
-    def corrected_counts(self) -> CountVector:
-        counts = [0] * self.corrected.k
-        for v in self.corrected.values:
-            counts[v] += 1
-        return CountVector(tuple(counts), len(self.corrected))
 
 
 def run_online(
@@ -125,6 +124,6 @@ def expected_online_error(
         if prob == 0.0:
             continue
         trace = run_online(ObservationSequence(values, model.k), policy, budget)
-        err = l1_error(empirical_estimate(trace.corrected_counts()), theta0)
+        err = l1_error(empirical_estimate(counts_from_sequence(trace.corrected)), theta0)
         total += prob * err
     return total

@@ -9,7 +9,6 @@ from corrlearn.core import (
     CountVector,
     ObservationSequence,
     Seed,
-    count_vectors,
     counts_from_sequence,
     empirical_estimate,
     l1_error,
@@ -175,10 +174,3 @@ class TestCountVector:
         with pytest.raises(ValueError):
             CountVector((-1, 2), 5)
 
-
-def test_count_vectors_enumeration():
-    vectors = list(count_vectors(4, 3))
-    assert len(vectors) == math.comb(4 + 3 - 1, 3 - 1)
-    assert all(sum(v) == 4 for v in vectors)
-    assert vectors == sorted(vectors)  # lexicographic order
-    assert len(set(vectors)) == len(vectors)

@@ -1,8 +1,9 @@
+import dataclasses
 import json
 
 import pytest
 
-from corrlearn import cli
+from corrlearn import cli, experiments
 from corrlearn.batch import e_min
 from corrlearn.core import Categorical
 from corrlearn.experiments import (
@@ -158,6 +159,34 @@ class TestBoundsRunner:
         for r in reports:
             assert r.trials == 2000
             assert r.empirical_var_corrected <= r.bound_abs
+
+    def test_ratio_bound_note_from_one_grid_run(self, monkeypatch, capsys):
+        real = experiments.monte_carlo_report
+        calls = []
+
+        def report_with_one_violation(n, m, b, trials, seed):
+            calls.append((n, m, b))
+            report = real(n, m, b, trials, seed)
+            if (n, m, b) == (10, 2, 1):
+                report = dataclasses.replace(
+                    report, empirical_ratio=report.bound_ratio_paper + 0.5
+                )
+            return report
+
+        monkeypatch.setattr(experiments, "monte_carlo_report", report_with_one_violation)
+        assert cli.main([
+            "bounds", "--seed", "7", "--n-values", "5,10", "--m-values", "1,2",
+            "--budgets", "0,1", "--trials", "1000",
+        ]) == cli.EXIT_OK
+        _, err = capsys.readouterr()
+        assert err == (
+            "note: empirical variance ratio exceeds the stated ratio bound at "
+            "1 grid point(s) (first: N,M,B=(10, 2, 1)); the ratio bound is "
+            "reported for reference only, the absolute bound is the verified one.\n"
+        )
+        assert sorted(calls) == sorted(
+            (n, m, b) for n in (5, 10) for m in (1, 2) for b in (0, 1)
+        )
 
 
 class TestBioRunner:
