@@ -1,21 +1,24 @@
 """Finite-horizon backward induction over the correction process.
 
-States are grouped by stage (observations tallied so far); stage k only
-ever reaches stage k+1, so one backward sweep per stage suffices and only
-reachable states are enumerated. ``brute_force_value`` is the independent
-check: an unmemoised expectimax recursion over every observation outcome
-and every feasible action.
+Post-decision form: a forward pass collects, per stage, the (counts,
+budget) pairs left by every feasible decision; the backward pass values
+each pair once, W(counts, budget), as the expectation over the next
+observation's arrivals. ``brute_force_value`` is the independent check:
+an unmemoised expectimax recursion over every observation outcome and
+every feasible action.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .core import CountVector
 from .mdp import (
     Action,
     MdpSpec,
     TeacherState,
     apply_action,
+    arrivals,
     feasible_actions,
     initial_states,
     state_count_bound,
@@ -79,7 +82,9 @@ def solve(
 
     Reachability is taken under all feasible actions, not just optimal
     ones, so the returned policy covers any replay a budget-respecting
-    teacher can produce. Ties break toward keeping, then toward the
+    teacher can produce. Each state takes its best action by the W of the
+    pair it leads to, and the terminal reward is scored once per distinct
+    final count vector. Ties break toward keeping, then toward the
     smallest change target; improvements must be strict, which makes the
     tie-breaking exact (equal subtrees yield bit-equal values).
     """
@@ -90,42 +95,45 @@ def solve(
             f"for k={spec.k}, n={spec.n}, budget={spec.budget}"
         )
 
-    reachable: dict[int, set[TeacherState]] = {
-        1: {s for s, _ in initial_states(spec)}
-    }
-    for stage in range(1, spec.n):
-        nxt: set[TeacherState] = set()
-        for state in reachable[stage]:
-            for action in feasible_actions(state, spec.k):
-                for succ, _ in transitions(state, action, spec):
-                    nxt.add(succ)
-        reachable[stage + 1] = nxt
+    # pairs[t]: post-decision (counts, budget) after the decision at stage t
+    pairs: list[set[tuple[tuple[int, ...], int]]] = [{((0,) * spec.k, spec.budget)}]
+    for _ in range(spec.n):
+        pairs.append({
+            apply_action(state, action)
+            for counts, budget in pairs[-1]
+            for state, _ in arrivals(counts, budget, spec)
+            for action in feasible_actions(state, spec.k)
+        })
 
+    finals = pairs.pop()
+    reward = {
+        counts: spec.reward.evaluate(CountVector(counts, spec.n))
+        for counts in {counts for counts, _ in finals}
+    }
+    ahead = {pair: reward[pair[0]] for pair in finals}
     values: dict[int, dict[TeacherState, float]] = {}
     actions: dict[int, dict[TeacherState, Action]] = {}
     for stage in range(spec.n, 0, -1):
         stage_values: dict[TeacherState, float] = {}
         stage_actions: dict[TeacherState, Action] = {}
-        ahead = values.get(stage + 1)
-        for state in reachable[stage]:
-            best = float("-inf")
-            best_action: Action | None = None
-            for action in feasible_actions(state, spec.k):
-                if stage == spec.n:
-                    value = terminal_value(state, action, spec)
-                else:
-                    assert ahead is not None
-                    value = sum(
-                        p * ahead[succ] for succ, p in transitions(state, action, spec)
-                    )
-                if value > best:
-                    best = value
-                    best_action = action
-            assert best_action is not None
-            stage_values[state] = best
-            stage_actions[state] = best_action
+        behind: dict[tuple[tuple[int, ...], int], float] = {}
+        for counts, budget in pairs.pop():
+            arrived = arrivals(counts, budget, spec)
+            for state, _ in arrived:
+                best = float("-inf")
+                best_action: Action | None = None
+                for action in feasible_actions(state, spec.k):
+                    value = ahead[apply_action(state, action)]
+                    if value > best:
+                        best = value
+                        best_action = action
+                assert best_action is not None
+                stage_values[state] = best
+                stage_actions[state] = best_action
+            behind[(counts, budget)] = sum(p * stage_values[s] for s, p in arrived)
         values[stage] = stage_values
         actions[stage] = stage_actions
+        ahead = behind
 
     return (
         Policy(spec.k, spec.n, spec.budget, actions),
@@ -145,24 +153,17 @@ def brute_force_value(spec: MdpSpec, ceiling: int = DEFAULT_BRUTE_CEILING) -> fl
             f"recursion size {paths} exceeds the ceiling {ceiling}"
         )
 
-    def best(state: TeacherState, stage: int) -> float:
+    def best(state: TeacherState) -> float:
         out = float("-inf")
         for action in feasible_actions(state, spec.k):
-            if stage == spec.n:
+            if state.stage == spec.n:
                 value = terminal_value(state, action, spec)
             else:
-                counts, budget = apply_action(state, action)
-                value = 0.0
-                for v, p in enumerate(spec.model.probs):
-                    if p <= 0.0:
-                        continue
-                    nxt = list(counts)
-                    nxt[v] += 1
-                    value += p * best(TeacherState(tuple(nxt), budget, v), stage + 1)
+                value = sum(p * best(s) for s, p in transitions(state, action, spec))
             out = max(out, value)
         return out
 
-    return sum(p * best(s, 1) for s, p in initial_states(spec))
+    return sum(p * best(s) for s, p in initial_states(spec))
 
 
 def policy_dump(policy: Policy) -> str:

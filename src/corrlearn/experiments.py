@@ -12,7 +12,7 @@ import json
 import sys
 from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Any, Sequence
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
@@ -35,6 +35,26 @@ class InvariantViolationError(RuntimeError):
     """An emitted record breaks a cross-module invariant."""
 
 
+def _is_int(value: Any) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_real(value: Any) -> bool:
+    return _is_int(value) or isinstance(value, float)
+
+
+# (expected type, check) per config field; None also passes where the default is None
+_FIELD_TYPES: dict[str, tuple[str, Callable[[Any], bool]]] = {
+    **dict.fromkeys(("experiment", "candidates", "output", "fmt"),
+                    ("a string", lambda v: isinstance(v, str))),
+    **dict.fromkeys(("seed", "trials", "theta0_label"), ("an integer", _is_int)),
+    **dict.fromkeys(("n_values", "budgets", "m_values"), (
+        "a list of integers", lambda v: isinstance(v, tuple) and all(map(_is_int, v)))),
+    "theta0": (
+        "a list of numbers", lambda v: isinstance(v, tuple) and all(map(_is_real, v))),
+}
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     experiment: str
@@ -50,6 +70,11 @@ class ExperimentConfig:
     fmt: str = "csv"
 
     def __post_init__(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            what, check = _FIELD_TYPES[f.name]
+            if not (check(value) or (value is None and f.default is None)):
+                raise ConfigError(f"config field {f.name!r} must be {what}, got {value!r}")
         if self.experiment not in EXPERIMENT_NAMES:
             raise ConfigError(
                 f"unknown experiment {self.experiment!r}; "
@@ -59,6 +84,8 @@ class ExperimentConfig:
             raise ConfigError(f"unknown output format {self.fmt!r}")
         if self.trials is not None and self.trials < 1:
             raise ConfigError("trials must be positive")
+        if self.experiment == "variance" and self.trials is not None and self.trials < 2:
+            raise ConfigError("the variance experiment needs at least 2 trials")
         if self.candidates is not None and not Path(self.candidates).is_file():
             raise ConfigError(f"candidate file {self.candidates!r} does not exist")
 
@@ -68,6 +95,8 @@ class ExperimentConfig:
             data = json.loads(Path(path).read_text())
         except (OSError, json.JSONDecodeError) as exc:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
+        if not isinstance(data, dict):
+            raise ConfigError(f"config {path} must hold a JSON object")
         known = {f.name for f in fields(cls)}
         unknown = set(data) - known
         if unknown:
@@ -79,7 +108,7 @@ class ExperimentConfig:
 def _normalise(data: dict[str, Any]) -> dict[str, Any]:
     out = dict(data)
     for key in ("n_values", "budgets", "m_values", "theta0"):
-        if out.get(key) is not None:
+        if isinstance(out.get(key), list):
             out[key] = tuple(out[key])
     return out
 

@@ -93,10 +93,6 @@ def state_count_bound(k: int, n: int, budget: int | None = None) -> int:
     return vectors * (budget + 1) * k
 
 
-def is_terminal(state: TeacherState, n: int) -> bool:
-    return state.stage == n
-
-
 def apply_action(state: TeacherState, action: Action) -> tuple[tuple[int, ...], int]:
     """Counts and budget after the teacher's decision, before the next draw."""
     if not 0 <= action.target < len(state.counts):
@@ -119,16 +115,11 @@ def feasible_actions(state: TeacherState, k: int) -> list[Action]:
     return actions
 
 
-def transitions(
-    state: TeacherState, action: Action, spec: MdpSpec
+def arrivals(
+    counts: tuple[int, ...], budget: int, spec: MdpSpec
 ) -> list[tuple[TeacherState, float]]:
-    """Successor distribution: act, then tally one fresh observation.
-
-    Zero-probability outcomes under the model are pruned.
-    """
-    if state.stage >= spec.n:
-        raise ValueError("no further observations past the horizon")
-    counts, budget = apply_action(state, action)
+    """States after the next observation is tallied onto the decided
+    ``counts``, in outcome order; zero-probability outcomes are pruned."""
     out = []
     for v, p in enumerate(spec.model.probs):
         if p <= 0.0:
@@ -137,6 +128,15 @@ def transitions(
         nxt[v] += 1
         out.append((TeacherState(tuple(nxt), budget, v), p))
     return out
+
+
+def transitions(
+    state: TeacherState, action: Action, spec: MdpSpec
+) -> list[tuple[TeacherState, float]]:
+    """Successor distribution: act, then tally one fresh observation."""
+    if state.stage >= spec.n:
+        raise ValueError("no further observations past the horizon")
+    return arrivals(*apply_action(state, action), spec)
 
 
 def terminal_value(state: TeacherState, action: Action, spec: MdpSpec) -> float:
@@ -149,10 +149,4 @@ def terminal_value(state: TeacherState, action: Action, spec: MdpSpec) -> float:
 
 def initial_states(spec: MdpSpec) -> list[tuple[TeacherState, float]]:
     """States right after the first observation, with their probabilities."""
-    out = []
-    for y, p in enumerate(spec.model.probs):
-        if p <= 0.0:
-            continue
-        counts = tuple(1 if i == y else 0 for i in range(spec.k))
-        out.append((TeacherState(counts, spec.budget, y), p))
-    return out
+    return arrivals((0,) * spec.k, spec.budget, spec)

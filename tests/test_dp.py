@@ -16,10 +16,14 @@ from corrlearn.dp import (
 from corrlearn.mdp import (
     MdpSpec,
     TeacherState,
+    TerminalReward,
+    apply_action,
+    feasible_actions,
     l1_terminal_reward,
     terminal_value,
     transitions,
 )
+from test_mdp import reachable_states
 
 
 def spec_for(theta, n, budget):
@@ -100,6 +104,8 @@ class TestOracleEquivalence:
             Categorical((0.5, 0.5)),
             Categorical((0.7, 0.3)),
             Categorical((0.4, 0.3, 0.3)),
+            Categorical((1.0, 0.0)),
+            Categorical((0.6, 0.4, 0.0)),
         ):
             spec = spec_for(theta, n, budget)
             _, table = solve(spec)
@@ -155,8 +161,6 @@ class TestPolicyAndTable:
     def test_terminal_stage_values_are_best_final_rewards(self):
         spec = spec_for(Categorical((0.5, 0.5)), 4, 1)
         policy, table = solve(spec)
-        from corrlearn.mdp import feasible_actions
-
         for state, value in table.stages[spec.n].items():
             best = max(
                 terminal_value(state, action, spec)
@@ -225,6 +229,38 @@ class TestPolicyAndTable:
         policy, table = solve(spec)
         for stage in range(1, spec.n + 1):
             assert set(policy.stages[stage]) == set(table.stages[stage])
+
+    @pytest.mark.parametrize("probs", [(1.0, 0.0), (0.6, 0.4, 0.0), (0.5, 0.5, 0.0)])
+    @pytest.mark.parametrize("budget", [0, 1, 2])
+    def test_zero_probability_policy_covers_exactly_the_reachable_states(
+        self, probs, budget
+    ):
+        spec = spec_for(Categorical(probs), 5, budget)
+        policy, _ = solve(spec)
+        reachable = reachable_states(spec)
+        assert sorted(policy.stages) == sorted(reachable)
+        for stage, states in reachable.items():
+            assert set(policy.stages[stage]) == states
+
+    def test_terminal_reward_evaluated_once_per_final_vector(self):
+        theta = Categorical((0.4, 0.3, 0.3))
+        base = l1_terminal_reward(theta)
+        calls = []
+
+        def counted(counts):
+            calls.append(counts.counts)
+            return base.evaluate(counts)
+
+        spec = MdpSpec(k=3, n=6, budget=2, model=theta,
+                       reward=TerminalReward(counted))
+        _, table = solve(spec)
+        finals = {
+            apply_action(state, action)[0]
+            for state in table.stages[spec.n]
+            for action in feasible_actions(state, spec.k)
+        }
+        assert len(calls) == len(set(calls))
+        assert set(calls) == finals
 
     def test_solve_ceiling_names_the_bound(self):
         spec = spec_for(Categorical((0.5, 0.5)), 10, 1)

@@ -265,6 +265,23 @@ class TestCli:
         bad.write_text("{not json")
         assert cli.main(["multinomial", "--seed", "1", "--config", str(bad)]) == 2
 
+    @pytest.mark.parametrize("data,message", [
+        ({"trials": "abc"}, "'trials' must be an integer"),
+        ({"n_values": 5}, "'n_values' must be a list of integers"),
+        ({"budgets": [1.5]}, "'budgets' must be a list of integers"),
+        ([1, 2], "must hold a JSON object"),
+    ])
+    def test_wrongly_typed_config_file_exits_2(self, tmp_path, capsys, data, message):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(data))
+        assert cli.main(["multinomial", "--seed", "1", "--config", str(path)]) == 2
+        assert message in capsys.readouterr().err
+
+    def test_variance_with_one_trial_exits_2(self, capsys):
+        argv = ["variance", "--seed", "1", "--n-values", "4", "--budgets", "0", "--trials", "1"]
+        assert cli.main(argv) == 2
+        assert "at least 2 trials" in capsys.readouterr().err
+
     def test_ceiling_exit_3(self, capsys):
         theta = ",".join(["0.2"] * 5)
         code = cli.main(["solve", "--n", "100", "--budget", "1", "--theta0", theta])

@@ -48,8 +48,18 @@ POLICIES = {
     for n in ((3, 8) if k < 4 else (3, 6))
     for b in (0, 1, 2)
 }
+# thetas with a zero-probability outcome, whose draws the solver prunes
+ZERO_PROB_POLICIES = {
+    **{
+        f"solve_zero_k3_n6_b{b}": ["solve", "--n", "6", "--budget", str(b),
+                                   "--theta0", "0.5,0.5,0"]
+        for b in (0, 1, 2)
+    },
+    "solve_zero_k2_n5_b2": ["solve", "--n", "5", "--budget", "2", "--theta0", "1,0"],
+    "solve_zero_k3_n5_b1": ["solve", "--n", "5", "--budget", "1", "--theta0", "0.6,0,0.4"],
+}
 
-CASES = {**EXPERIMENTS, **POLICIES}
+CASES = {**EXPERIMENTS, **POLICIES, **ZERO_PROB_POLICIES}
 
 
 def cli_stdout(argv):

@@ -12,7 +12,6 @@ from corrlearn.mdp import (
     apply_action,
     feasible_actions,
     initial_states,
-    is_terminal,
     l1_terminal_reward,
     state_count_bound,
     terminal_value,
@@ -66,13 +65,6 @@ class TestStateCountBound:
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             state_count_bound(0, 3)
-
-
-class TestIsTerminal:
-    def test_examples(self):
-        assert is_terminal(TeacherState((2, 3), 0, 1), 5)
-        assert not is_terminal(TeacherState((1, 1), 0, 1), 5)
-        assert is_terminal(TeacherState((5, 0), 2, 0), 5)
 
 
 class TestApplyAction:
