@@ -1,7 +1,7 @@
 """Command-line driver: seeded experiment runners plus a policy dump.
 
 Exit codes: 0 success, 2 configuration error, 3 solver ceiling exceeded,
-4 internal invariant violation.
+4 internal error (an invariant violation, or a KeyError: no input raises one).
 """
 
 from __future__ import annotations
@@ -124,10 +124,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     except CeilingExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CEILING
-    except InvariantViolationError as exc:
+    except (InvariantViolationError, KeyError) as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INVARIANT
-    except (ConfigError, ValueError, KeyError, OSError) as exc:
+    except (ConfigError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -19,10 +19,9 @@ import numpy as np
 from .batch import attainable_error, batch_correct
 from .bounds import BOUND_CSV_COLUMNS, BoundReport, monte_carlo_report
 from .core import Categorical, Seed, counts_from_sequence, empirical_estimate, l1_error, sample_sequence
-from .dp import solve
 from .likelihood import CandidateSet, default_candidates, misclassification_experiment
-from .mdp import MdpSpec, l1_terminal_reward
-from .teacher import run_online
+from .mdp import l1_terminal_reward
+from .teacher import replays
 
 EXPERIMENT_NAMES = ("multinomial", "binomial", "variance", "bounds", "bio")
 
@@ -172,25 +171,18 @@ def _run_correction_records(
     trials = config.trials if config.trials is not None else 50
     seed = Seed(config.seed)
     sequences = [sample_sequence(theta0, n, seed.spawn(t)) for t in range(trials)]
+    originals = [counts_from_sequence(seq) for seq in sequences]
+    estimates = [empirical_estimate(counts) for counts in originals]
     records = []
-    for budget in budgets:
-        spec = MdpSpec(k=theta0.k, n=n, budget=budget,
-                       model=theta0, reward=l1_terminal_reward(theta0))
-        policy, _ = solve(spec)
-        for trial, seq in enumerate(sequences):
-            original = counts_from_sequence(seq)
-            estimate = empirical_estimate(original)
-            trace = run_online(seq, policy, budget)
-            online = l1_error(
-                empirical_estimate(counts_from_sequence(trace.corrected)), theta0
-            )
+    for budget, traces in replays(sequences, theta0, l1_terminal_reward(theta0), budgets):
+        for trial, (trace, original, estimate) in enumerate(zip(traces, originals, estimates)):
             records.append(ExperimentRecord(
                 experiment=config.experiment,
                 seed=config.seed,
                 trial=trial,
                 budget=budget,
                 error_original=l1_error(estimate, theta0),
-                error_online=online,
+                error_online=l1_error(empirical_estimate(trace.counts), theta0),
                 error_batch=batch_correct(original, theta0, budget).error,
                 budget_spent=trace.budget_spent,
                 error_attainable=(
@@ -227,20 +219,14 @@ def run_variance_sweep(config: ExperimentConfig) -> list[dict[str, Any]]:
     budgets = config.budgets if config.budgets is not None else (0, 1, 2)
     trials = config.trials if config.trials is not None else 2000
     seed = Seed(config.seed)
+    reward = l1_terminal_reward(theta0)
     rows = []
     for n in n_values:
         sequences = [
             sample_sequence(theta0, n, seed.spawn(n, t)) for t in range(trials)
         ]
-        for budget in budgets:
-            spec = MdpSpec(k=theta0.k, n=n, budget=budget,
-                           model=theta0, reward=l1_terminal_reward(theta0))
-            policy, _ = solve(spec)
-            estimates = np.empty((trials, theta0.k))
-            for t, seq in enumerate(sequences):
-                trace = run_online(seq, policy, budget)
-                counts = counts_from_sequence(trace.corrected)
-                estimates[t] = empirical_estimate(counts).probs
+        for budget, traces in replays(sequences, theta0, reward, budgets):
+            estimates = np.array([empirical_estimate(t.counts).probs for t in traces])
             per_coord = estimates.var(axis=0, ddof=1)
             rows.append({
                 "n": n, "budget": budget, "trials": trials,
@@ -352,14 +338,7 @@ def run_and_format(config: ExperimentConfig) -> str:
     else:  # unreachable: the config validates the name
         raise ConfigError(f"unknown experiment {config.experiment!r}")
     if config.fmt == "json":
-        def plain(v: Any) -> Any:
-            if isinstance(v, np.integer):
-                return int(v)
-            if isinstance(v, np.floating):
-                return float(v)
-            return v
-
-        payload = [{c: plain(v) for c, v in zip(columns, row)} for row in rows]
+        payload = [dict(zip(columns, row)) for row in rows]
         return json.dumps(payload, indent=2) + "\n"
     return format_csv(columns, rows)
 

@@ -19,10 +19,9 @@ from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
-from .core import Categorical, CountVector, Seed, counts_from_sequence, sample_sequence
-from .dp import solve
-from .mdp import MdpSpec, TerminalReward
-from .teacher import run_online
+from .core import Categorical, CountVector, Seed, sample_sequence
+from .mdp import TerminalReward
+from .teacher import replays
 
 CANDIDATE_FILE_VERSION = 1
 
@@ -62,7 +61,7 @@ class CandidateSet:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "CandidateSet":
-        return _parse_candidates(Path(path).read_text())
+        return _parse_candidates(Path(path).read_text(), str(path))
 
     def to_file(self, path: str | Path) -> None:
         payload = {
@@ -75,23 +74,34 @@ class CandidateSet:
         Path(path).write_text(json.dumps(payload, indent=2) + "\n")
 
 
-def _parse_candidates(text: str) -> CandidateSet:
-    data = json.loads(text)
-    if data.get("version") != CANDIDATE_FILE_VERSION:
-        raise ValueError(f"unsupported candidate file version {data.get('version')!r}")
-    return CandidateSet(
-        tuple(
-            CandidateModel(int(m["theta"]), Categorical(tuple(m["probs"])))
-            for m in data["models"]
-        )
-    )
+def _parse_candidates(text: str, source: str) -> CandidateSet:
+    """Candidate set from the JSON text of ``source``; errors name the file
+    and, for a wrongly shaped document, the field."""
+    try:
+        data = json.loads(text)
+        if not isinstance(data, dict):
+            raise ValueError(f"must hold a JSON object, got {type(data).__name__}")
+        if data.get("version") != CANDIDATE_FILE_VERSION:
+            raise ValueError(f"unsupported candidate file version {data.get('version')!r}")
+        models = data.get("models")
+        if not (isinstance(models, list) and all(isinstance(m, dict) for m in models)):
+            raise ValueError(f"field 'models' must be a list of objects, got {models!r}")
+        for i, m in enumerate(models):
+            if type(m.get("theta")) is not int:
+                raise ValueError(f"field 'models[{i}].theta' must be an integer")
+            probs = m.get("probs")
+            if not (isinstance(probs, list) and all(type(p) in (int, float) for p in probs)):
+                raise ValueError(f"field 'models[{i}].probs' must be a list of numbers")
+        return CandidateSet(tuple(
+            CandidateModel(m["theta"], Categorical(tuple(m["probs"]))) for m in models
+        ))
+    except ValueError as exc:
+        raise ValueError(f"candidate file {source}: {exc}") from None
 
 
 def default_candidates() -> CandidateSet:
-    text = (
-        resources.files("corrlearn").joinpath("data/candidates_default.json").read_text()
-    )
-    return _parse_candidates(text)
+    path = resources.files("corrlearn").joinpath("data/candidates_default.json")
+    return _parse_candidates(path.read_text(), str(path))
 
 
 def negative_log_likelihood(counts: CountVector, model: CandidateModel) -> float:
@@ -158,7 +168,6 @@ def misclassification_experiment(
     budgets: tuple[int, ...],
     trials: int,
     seed: Seed,
-    reward_kind: str = "absolute",
 ) -> dict[int, float]:
     """Fraction of episodes where the student identifies the wrong model,
     per budget.
@@ -170,22 +179,12 @@ def misclassification_experiment(
     if trials < 1:
         raise ValueError("need at least one trial")
     true_dist = candidates.by_label(theta0_label).action_dist
-    reward = bio_terminal_reward(theta0_label, candidates, kind=reward_kind)
+    reward = bio_terminal_reward(theta0_label, candidates)
     sequences = [
         sample_sequence(true_dist, n, seed.spawn(trial)) for trial in range(trials)
     ]
     rates: dict[int, float] = {}
-    for budget in budgets:
-        spec = MdpSpec(
-            k=candidates.action_count, n=n, budget=budget,
-            model=true_dist, reward=reward,
-        )
-        policy, _ = solve(spec)
-        wrong = 0
-        for seq in sequences:
-            trace = run_online(seq, policy, budget)
-            counts = counts_from_sequence(trace.corrected)
-            if ml_estimate(counts, candidates) != theta0_label:
-                wrong += 1
+    for budget, traces in replays(sequences, true_dist, reward, budgets):
+        wrong = sum(ml_estimate(t.counts, candidates) != theta0_label for t in traces)
         rates[budget] = wrong / trials
     return rates

@@ -1,26 +1,30 @@
-"""Online execution of a teacher policy over a realised observation stream.
+"""Running a teacher policy: replays over realised streams, and the exact
+expected error.
 
-The replay feeds the policy states built from CORRECTED counts: the
-student only ever sees what the teacher lets through, so the sufficient
-statistic tracks the altered stream, with the current raw observation
-tallied on top.
+A replay feeds the policy states built from CORRECTED counts: the student
+only ever sees what the teacher lets through, so the sufficient statistic
+tracks the altered stream, with the current raw observation tallied on
+top. ``replays`` is the one path from a source model to corrected streams.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
-from typing import Protocol
+from itertools import repeat
+from typing import Iterable, Iterator, Protocol, Sequence
 
-from .core import (
-    Categorical,
-    ObservationSequence,
-    counts_from_sequence,
-    empirical_estimate,
-    l1_error,
+from .core import Categorical, CountVector, ObservationSequence
+from .dp import solve
+from .mdp import (
+    Action,
+    MdpSpec,
+    TeacherState,
+    TerminalReward,
+    apply_action,
+    arrivals,
+    l1_terminal_reward,
 )
-from .mdp import Action, TeacherState
 
 
 class TeacherPolicy(Protocol):
@@ -29,10 +33,20 @@ class TeacherPolicy(Protocol):
 
 @dataclass(frozen=True)
 class OnlineTrace:
-    original: ObservationSequence
     corrected: ObservationSequence
-    actions: tuple[Action, ...]
+    counts: CountVector  # tally of ``corrected``
     budget_spent: int
+
+
+def _check_policy(policy: TeacherPolicy, k: int, n: int, budget: int) -> None:
+    expected = (getattr(policy, "k", None), getattr(policy, "n", None),
+                getattr(policy, "budget", None))
+    if expected[0] not in (None, k) or expected[1] not in (None, n) \
+            or expected[2] not in (None, budget):
+        raise ValueError(
+            f"policy solved for (k, n, budget)={expected}, "
+            f"replay asked for ({k}, {n}, {budget})"
+        )
 
 
 def run_online(
@@ -41,18 +55,10 @@ def run_online(
     """Replay ``seq`` through ``policy``, spending at most ``budget`` changes."""
     if budget < 0:
         raise ValueError("budget must be nonnegative")
-    expected = (getattr(policy, "k", None), getattr(policy, "n", None),
-                getattr(policy, "budget", None))
-    if expected[0] not in (None, seq.k) or expected[1] not in (None, len(seq)) \
-            or expected[2] not in (None, budget):
-        raise ValueError(
-            f"policy solved for (k, n, budget)={expected}, "
-            f"replay asked for ({seq.k}, {len(seq)}, {budget})"
-        )
+    _check_policy(policy, seq.k, len(seq), budget)
     counts = [0] * seq.k
     remaining = budget
     corrected: list[int] = []
-    actions: list[Action] = []
     for y in seq.values:
         counts[y] += 1
         action = policy.action_for(TeacherState(tuple(counts), remaining, y))
@@ -63,67 +69,76 @@ def run_online(
             counts[action.target] += 1
             remaining -= 1
         corrected.append(action.target)
-        actions.append(action)
     return OnlineTrace(
-        original=seq,
         corrected=ObservationSequence(tuple(corrected), seq.k),
-        actions=tuple(actions),
+        counts=CountVector(tuple(counts), len(seq)),
         budget_spent=budget - remaining,
     )
 
 
-def binomial_policy_action(state: TeacherState, theta0: Categorical, n: int) -> Action:
+def replays(
+    sequences: Sequence[ObservationSequence],
+    model: Categorical,
+    reward: TerminalReward,
+    budgets: Iterable[int],
+) -> Iterator[tuple[int, Iterator[OnlineTrace]]]:
+    """Yield ``(budget, traces)`` per budget: one solve for (``model``,
+    ``reward``, budget) at the streams' length, replayed on every stream.
+
+    ``traces`` is lazy. Consume a budget's traces before asking for the
+    next budget, so that one budget's policy and traces are held at a time.
+    """
+    if not sequences:
+        raise ValueError("no sequences to replay")
+    n = len(sequences[0])
+    for budget in budgets:
+        policy, _ = solve(MdpSpec(k=model.k, n=n, budget=budget, model=model, reward=reward))
+        yield budget, map(run_online, sequences, repeat(policy), repeat(budget))
+
+
+@dataclass(frozen=True)
+class BinomialThresholdPolicy:
     """Closed-form two-outcome rule: keep while the running count of the
     current value stays at or below round(theta0*n), otherwise flip it.
 
     Rounding is half away from zero, pinned so threshold behaviour is
     reproducible.
     """
-    if theta0.k != 2 or len(state.counts) != 2:
-        raise ValueError("closed-form policy is two-outcome only")
-    threshold = math.floor(theta0.probs[state.last_obs] * n + 0.5)
-    if state.budget <= 0 or state.counts[state.last_obs] <= threshold:
-        return Action(state.last_obs)
-    return Action(1 - state.last_obs)
-
-
-@dataclass(frozen=True)
-class BinomialThresholdPolicy:
-    """Policy object wrapping ``binomial_policy_action`` for replays."""
 
     theta0: Categorical
     n: int
     k: int = 2
 
     def action_for(self, state: TeacherState) -> Action:
-        return binomial_policy_action(state, self.theta0, self.n)
+        if self.theta0.k != 2 or len(state.counts) != 2:
+            raise ValueError("closed-form policy is two-outcome only")
+        threshold = math.floor(self.theta0.probs[state.last_obs] * self.n + 0.5)
+        if state.budget <= 0 or state.counts[state.last_obs] <= threshold:
+            return Action(state.last_obs)
+        return Action(1 - state.last_obs)
 
 
 def expected_online_error(
-    policy: TeacherPolicy,
-    model: Categorical,
-    n: int,
-    budget: int,
-    theta0: Categorical | None = None,
-    ceiling: int = 10_000_000,
+    policy: TeacherPolicy, model: Categorical, n: int, budget: int
 ) -> float:
-    """Exact expected l1 error of a policy, by enumerating all k^n streams.
-
-    Streams are drawn from ``model``; the error is measured against
-    ``theta0`` (defaults to the model, the well-specified case).
+    """Exact expected l1 error against ``model`` of replaying ``policy`` on
+    n draws from ``model``, by forward evaluation: the probability mass of
+    each post-decision (counts, budget) pair is pushed through the next
+    draw and the policy's decision, so the cost grows with the reachable
+    pairs, not with the k^n streams.
     """
-    if theta0 is None:
-        theta0 = model
-    if model.k ** n > ceiling:
-        raise ValueError(f"enumeration size {model.k ** n} exceeds {ceiling}")
-    total = 0.0
-    for values in itertools.product(range(model.k), repeat=n):
-        prob = 1.0
-        for v in values:
-            prob *= model.probs[v]
-        if prob == 0.0:
-            continue
-        trace = run_online(ObservationSequence(values, model.k), policy, budget)
-        err = l1_error(empirical_estimate(counts_from_sequence(trace.corrected)), theta0)
-        total += prob * err
-    return total
+    _check_policy(policy, model.k, n, budget)
+    spec = MdpSpec(k=model.k, n=n, budget=budget, model=model,
+                   reward=l1_terminal_reward(model))
+    mass = {((0,) * model.k, budget): 1.0}
+    for _ in range(n):
+        ahead: dict[tuple[tuple[int, ...], int], float] = {}
+        for (counts, left), weight in mass.items():
+            for state, p in arrivals(counts, left, spec):
+                pair = apply_action(state, policy.action_for(state))
+                ahead[pair] = ahead.get(pair, 0.0) + weight * p
+        mass = ahead
+    return -math.fsum(
+        weight * spec.reward.evaluate(CountVector(counts, n))
+        for (counts, _), weight in mass.items()
+    )

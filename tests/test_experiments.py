@@ -3,9 +3,10 @@ import json
 
 import pytest
 
-from corrlearn import cli, experiments
+from corrlearn import cli, experiments, teacher
 from corrlearn.batch import e_min
 from corrlearn.core import Categorical
+from corrlearn.dp import Policy
 from corrlearn.experiments import (
     BINOMIAL_COLUMNS,
     MULTINOMIAL_COLUMNS,
@@ -222,11 +223,19 @@ class TestOutputFormats:
         assert text.split("\n", 1)[0] == ",".join(BINOMIAL_COLUMNS)
         assert "error_attainable" in text
 
-    def test_json_output_parses(self):
-        text = run_and_format(config(trials=3, fmt="json"))
-        rows = json.loads(text)
-        assert len(rows) == 3
-        assert set(rows[0]) == set(MULTINOMIAL_COLUMNS)
+    @pytest.mark.parametrize("fields", [
+        dict(experiment="multinomial", trials=3),
+        dict(experiment="binomial", trials=3),
+        dict(experiment="variance", n_values=(4,), budgets=(0, 1), trials=5),
+        dict(experiment="bounds", n_values=(5,), m_values=(1,), budgets=(0, 1), trials=1000),
+        dict(experiment="bio", n_values=(4,), budgets=(0, 1), trials=5),
+    ], ids=lambda f: f["experiment"])
+    def test_json_output_parses(self, fields):
+        csv_text = run_and_format(config(**fields))
+        rows = json.loads(run_and_format(config(**fields, fmt="json")))
+        assert len(rows) == csv_text.count("\n") - 1 > 0
+        # the JSON rows carry the CSV's columns and values exactly
+        assert format_csv(tuple(rows[0]), [tuple(r.values()) for r in rows]) == csv_text
 
     def test_repeat_runs_are_byte_identical(self):
         cfg = config(experiment="binomial", trials=10)
@@ -293,6 +302,31 @@ class TestCli:
 
         monkeypatch.setattr(cli, "run_and_format", explode)
         assert cli.main(["multinomial", "--seed", "1"]) == 4
+
+    @pytest.mark.parametrize("data,field", [
+        ([1, 2], "must hold a JSON object"),
+        ({"version": 1}, "field 'models'"),
+        ({"version": 1, "models": 5}, "field 'models'"),
+        ({"version": 1, "models": [{"theta": 1}, {"theta": 4, "probs": [0.5, 0.5]}]},
+         "field 'models[0].probs'"),
+        ({"version": 1, "models": [{"theta": 1, "probs": 0.5}]}, "field 'models[0].probs'"),
+    ], ids=["top-level-list", "models-missing", "models-not-list", "probs-missing",
+            "probs-not-list"])
+    def test_malformed_candidate_file_exits_2(self, tmp_path, capsys, data, field):
+        path = tmp_path / "models.json"
+        path.write_text(json.dumps(data))
+        assert cli.main(["bio", "--seed", "1", "--candidates", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert f"candidate file {path}: " in err and field in err
+
+    def test_uncovered_replay_state_exit_4(self, monkeypatch, capsys):
+        # a policy missing the states a replay reaches is a bug, not bad input
+        def empty_policy(spec):
+            return Policy(spec.k, spec.n, spec.budget, {}), None
+
+        monkeypatch.setattr(teacher, "solve", empty_policy)
+        assert cli.main(["multinomial", "--seed", "1", "--trials", "2"]) == 4
+        assert "internal error: " in capsys.readouterr().err
 
     def test_config_file_with_flag_override(self, tmp_path):
         cfg = tmp_path / "cfg.json"

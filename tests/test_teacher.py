@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 
 import pytest
@@ -17,8 +18,8 @@ from corrlearn.dp import root_value, solve
 from corrlearn.mdp import Action, MdpSpec, TeacherState, l1_terminal_reward
 from corrlearn.teacher import (
     BinomialThresholdPolicy,
-    binomial_policy_action,
     expected_online_error,
+    replays,
     run_online,
 )
 
@@ -32,7 +33,20 @@ def solved_policy(theta, n, budget):
 
 def online_error(seq, policy, budget, theta):
     trace = run_online(seq, policy, budget)
-    return l1_error(empirical_estimate(counts_from_sequence(trace.corrected)), theta)
+    return l1_error(empirical_estimate(trace.counts), theta)
+
+
+def enumerated_online_error(policy, model, n, budget):
+    """Oracle for ``expected_online_error``: replay all k^n streams."""
+    total = 0.0
+    for values in itertools.product(range(model.k), repeat=n):
+        prob = math.prod(model.probs[v] for v in values)
+        if prob == 0.0:
+            continue
+        trace = run_online(ObservationSequence(values, model.k), policy, budget)
+        counts = counts_from_sequence(trace.corrected)
+        total += prob * l1_error(empirical_estimate(counts), model)
+    return total
 
 
 class TestRunOnline:
@@ -64,6 +78,7 @@ class TestRunOnline:
                 1 for a, b in zip(seq.values, trace.corrected.values) if a != b
             )
             assert diffs == trace.budget_spent <= 2
+            assert trace.counts == counts_from_sequence(trace.corrected)
 
     def test_online_never_beats_batch(self):
         theta = Categorical((0.4, 0.3, 0.3))
@@ -88,27 +103,26 @@ class TestBinomialPolicyAction:
 
     def test_below_threshold_keeps(self):
         state = TeacherState((2, 4), 1, 1)
-        assert binomial_policy_action(state, self.theta, 10) == Action(1)
+        assert BinomialThresholdPolicy(self.theta, 10).action_for(state) == Action(1)
 
     def test_above_threshold_flips(self):
         state = TeacherState((2, 6), 1, 1)
-        assert binomial_policy_action(state, self.theta, 10) == Action(0)
+        assert BinomialThresholdPolicy(self.theta, 10).action_for(state) == Action(0)
 
     def test_exhausted_budget_keeps(self):
         state = TeacherState((2, 6), 0, 1)
-        assert binomial_policy_action(state, self.theta, 10) == Action(1)
+        assert BinomialThresholdPolicy(self.theta, 10).action_for(state) == Action(1)
 
     def test_two_outcomes_only(self):
+        policy = BinomialThresholdPolicy(Categorical((0.4, 0.3, 0.3)), 5)
         with pytest.raises(ValueError):
-            binomial_policy_action(
-                TeacherState((1, 0, 0), 1, 0), Categorical((0.4, 0.3, 0.3)), 5
-            )
+            policy.action_for(TeacherState((1, 0, 0), 1, 0))
 
     def test_threshold_rounds_half_away_from_zero(self):
         # theta0*n = 3.5 rounds to 4: a count of 4 keeps, 5 flips
-        theta = Categorical((0.7, 0.3))
-        assert binomial_policy_action(TeacherState((4, 1), 1, 0), theta, 5) == Action(0)
-        assert binomial_policy_action(TeacherState((5, 0), 1, 0), theta, 5) == Action(1)
+        policy = BinomialThresholdPolicy(Categorical((0.7, 0.3)), 5)
+        assert policy.action_for(TeacherState((4, 1), 1, 0)) == Action(0)
+        assert policy.action_for(TeacherState((5, 0), 1, 0)) == Action(1)
 
 
 class TestBinomialOptimality:
@@ -185,8 +199,54 @@ class TestExpectedOnlineError:
             direct, abs=1e-12
         )
 
-    def test_ceiling_guard(self):
+    @pytest.mark.parametrize("probs,n,budget", [
+        ((0.5, 0.5), 8, 0),
+        ((0.5, 0.5), 8, 2),
+        ((0.7, 0.3), 7, 1),
+        ((1.0, 0.0), 5, 2),
+        ((0.4, 0.3, 0.3), 6, 2),
+        ((0.6, 0.4, 0.0), 6, 1),
+        ((0.5, 0.5, 0.0), 5, 3),
+        ((0.7, 0.0, 0.2, 0.1), 5, 1),
+        ((0.25, 0.25, 0.25, 0.25), 5, 2),
+    ])
+    def test_forward_evaluation_matches_enumeration(self, probs, n, budget):
+        theta = Categorical(probs)
+        policies = [solved_policy(theta, n, budget)[0]]
+        if theta.k == 2:
+            policies.append(BinomialThresholdPolicy(theta, n))
+        for policy in policies:
+            oracle = enumerated_online_error(policy, theta, n, budget)
+            assert abs(expected_online_error(policy, theta, n, budget) - oracle) <= 1e-12
+
+    def test_long_horizon_closed_form_evaluates(self):
+        # 2^40 streams: far beyond enumeration, a few hundred pairs forward
         theta = Categorical((0.5, 0.5))
-        policy = BinomialThresholdPolicy(theta, 40)
-        with pytest.raises(ValueError, match="enumeration"):
-            expected_online_error(policy, theta, 40, 1)
+        error = expected_online_error(BinomialThresholdPolicy(theta, 40), theta, 40, 1)
+        passive = expected_online_error(BinomialThresholdPolicy(theta, 40), theta, 40, 0)
+        assert 0.0 < error < passive
+
+    def test_mismatched_policy_rejected(self):
+        theta = Categorical((0.5, 0.5))
+        policy, _ = solved_policy(theta, 4, 1)
+        with pytest.raises(ValueError, match="solved for"):
+            expected_online_error(policy, theta, 4, 2)
+        with pytest.raises(ValueError, match="solved for"):
+            expected_online_error(policy, theta, 5, 1)
+
+
+class TestReplays:
+    def test_one_solve_per_budget_and_same_traces_as_run_online(self):
+        theta = Categorical((0.4, 0.3, 0.3))
+        sequences = [sample_sequence(theta, 5, Seed(77).spawn(t)) for t in range(10)]
+        seen = []
+        for budget, traces in replays(sequences, theta, l1_terminal_reward(theta), (0, 2, 1)):
+            policy, _ = solved_policy(theta, 5, budget)
+            assert list(traces) == [run_online(seq, policy, budget) for seq in sequences]
+            seen.append(budget)
+        assert seen == [0, 2, 1]
+
+    def test_no_sequences_rejected(self):
+        theta = Categorical((0.5, 0.5))
+        with pytest.raises(ValueError, match="no sequences"):
+            next(replays([], theta, l1_terminal_reward(theta), (1,)))
