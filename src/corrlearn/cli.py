@@ -1,5 +1,10 @@
 """Command-line driver: seeded experiment runners plus a policy dump.
 
+Each experiment subcommand takes ``--config``, ``--seed``, ``--out`` and
+``--format``, plus one flag per parameter in its ``experiments.EXPERIMENTS``
+entry; ``--help`` shows each default. A flag or config-file field the
+experiment does not read, and an abbreviated flag, exit 2.
+
 Exit codes: 0 success, 2 configuration error, 3 solver ceiling exceeded,
 4 internal error (an invariant violation, or a KeyError: no input raises one).
 """
@@ -13,6 +18,8 @@ from typing import Sequence
 from .core import Categorical
 from .dp import CeilingExceededError, policy_dump, solve
 from .experiments import (
+    EXPERIMENTS,
+    FIELD_TYPES,
     ConfigError,
     ExperimentConfig,
     InvariantViolationError,
@@ -27,36 +34,20 @@ EXIT_CEILING = 3
 EXIT_INVARIANT = 4
 
 
-def _int_list(text: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(part) for part in text.split(","))
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
-
-
-def _float_list(text: str) -> tuple[float, ...]:
-    try:
-        return tuple(float(part) for part in text.split(","))
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected comma-separated reals, got {text!r}")
-
-
 def _add_experiment_parser(sub: argparse._SubParsersAction, name: str, help_text: str):
-    p = sub.add_parser(name, help=help_text)
+    p = sub.add_parser(name, help=help_text, allow_abbrev=False)
     p.add_argument("--config", help="JSON config file; flags override its fields")
     p.add_argument("--seed", type=int, required=True,
                    help="root seed (required: runs must be reproducible)")
-    p.add_argument("--trials", type=int)
-    p.add_argument("--n-values", type=_int_list, metavar="N[,N...]",
-                   help="observation-count grid (single value for multinomial/binomial)")
-    p.add_argument("--budgets", type=_int_list, metavar="B[,B...]")
-    p.add_argument("--m-values", type=_int_list, metavar="M[,M...]",
-                   help="alphabet-maximum grid (bounds experiment)")
-    p.add_argument("--theta0", type=_float_list, metavar="P[,P...]")
-    p.add_argument("--candidates", help="candidate-set file (bio experiment)")
-    p.add_argument("--theta0-label", type=int, help="true model label (bio experiment)")
-    p.add_argument("--out", help="output path (default: stdout)")
+    p.add_argument("--out", dest="output", metavar="PATH", help="output path (default: stdout)")
     p.add_argument("--format", choices=("csv", "json"), default=None, dest="fmt")
+    for field, default in EXPERIMENTS[name].items():
+        if default is None:
+            default = "the built-in set"
+        elif isinstance(default, tuple):
+            default = ",".join(map(str, default))
+        p.add_argument("--" + field.replace("_", "-"), type=FIELD_TYPES[field][2],
+                       help=f"default: {default}")
     return p
 
 
@@ -64,6 +55,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="corrlearn",
         description="Budget-constrained observation correction: experiments and policies.",
+        allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="command", required=True)
     _add_experiment_parser(sub, "multinomial",
@@ -77,33 +69,20 @@ def build_parser() -> argparse.ArgumentParser:
     _add_experiment_parser(sub, "bio",
                            "model-identification misclassification rates")
 
-    ps = sub.add_parser("solve", help="solve a policy and dump it as text")
+    ps = sub.add_parser("solve", help="solve a policy and dump it as text", allow_abbrev=False)
     ps.add_argument("--n", type=int, required=True)
     ps.add_argument("--budget", type=int, required=True)
-    ps.add_argument("--theta0", type=_float_list, required=True, metavar="P[,P...]")
+    ps.add_argument("--theta0", type=FIELD_TYPES["theta0"][2], required=True, metavar="P[,P...]")
     ps.add_argument("--out", help="output path (default: stdout)")
     return parser
 
 
 def _experiment_config(args: argparse.Namespace) -> ExperimentConfig:
-    overrides = dict(
-        experiment=args.command,
-        seed=args.seed,
-        trials=args.trials,
-        n_values=args.n_values,
-        budgets=args.budgets,
-        m_values=args.m_values,
-        theta0=args.theta0,
-        candidates=args.candidates,
-        theta0_label=args.theta0_label,
-        output=args.out,
-        fmt=args.fmt,
-    )
+    overrides = dict(experiment=args.command, seed=args.seed, output=args.output, fmt=args.fmt)
+    overrides.update((field, getattr(args, field)) for field in EXPERIMENTS[args.command])
     if args.config:
         return ExperimentConfig.from_file(args.config, **overrides)
-    clean = {k: v for k, v in overrides.items() if v is not None}
-    clean.setdefault("experiment", args.command)
-    return ExperimentConfig(**clean)
+    return ExperimentConfig(**{k: v for k, v in overrides.items() if v is not None})
 
 
 def main(argv: Sequence[str] | None = None) -> int:

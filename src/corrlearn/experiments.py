@@ -8,6 +8,7 @@ endings; JSON output carries the same rows as objects.
 
 from __future__ import annotations
 
+import argparse
 import json
 import sys
 from dataclasses import dataclass, fields
@@ -23,7 +24,22 @@ from .likelihood import CandidateSet, default_candidates, misclassification_expe
 from .mdp import l1_terminal_reward
 from .teacher import replays
 
-EXPERIMENT_NAMES = ("multinomial", "binomial", "variance", "bounds", "bio")
+# The parameters each experiment reads, with their defaults: the only place
+# that says so. The CLI builds each subcommand's flags from it, and a config
+# may set no other parameter field.
+EXPERIMENTS: dict[str, dict[str, Any]] = {
+    "multinomial": dict(trials=50, n_values=(5,), budgets=(1,), theta0=(0.4, 0.3, 0.3)),
+    "binomial": dict(trials=50, n_values=(10,), budgets=(1,), theta0=(0.5, 0.5)),
+    "variance": dict(trials=2000, n_values=(5, 10, 15, 20, 25), budgets=(0, 1, 2),
+                     theta0=(0.4, 0.3, 0.3)),
+    "bounds": dict(trials=100_000, n_values=(5, 10, 25), m_values=(1, 2, 4),
+                   budgets=(0, 1, 3, 5)),
+    "bio": dict(trials=1000, n_values=(10,), budgets=(0, 1, 2), candidates=None,
+                theta0_label=4),
+}
+EXPERIMENT_NAMES = tuple(EXPERIMENTS)
+# config fields every experiment takes; the rest are experiment parameters
+_COMMON_FIELDS = ("experiment", "seed", "output", "fmt")
 
 
 class ConfigError(ValueError):
@@ -42,20 +58,35 @@ def _is_real(value: Any) -> bool:
     return _is_int(value) or isinstance(value, float)
 
 
-# (expected type, check) per config field; None also passes where the default is None
-_FIELD_TYPES: dict[str, tuple[str, Callable[[Any], bool]]] = {
+def _comma_list(cast: Callable[[str], Any], what: str) -> Callable[[str], tuple]:
+    def parse(text: str) -> tuple:
+        try:
+            return tuple(cast(part) for part in text.split(","))
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected comma-separated {what}, got {text!r}")
+    return parse
+
+
+# (expected type, check, flag parser) per config field; None also passes
+# where the default is None
+FIELD_TYPES: dict[str, tuple[str, Callable[[Any], bool], Callable[[str], Any]]] = {
     **dict.fromkeys(("experiment", "candidates", "output", "fmt"),
-                    ("a string", lambda v: isinstance(v, str))),
-    **dict.fromkeys(("seed", "trials", "theta0_label"), ("an integer", _is_int)),
+                    ("a string", lambda v: isinstance(v, str), str)),
+    **dict.fromkeys(("seed", "trials", "theta0_label"), ("an integer", _is_int, int)),
     **dict.fromkeys(("n_values", "budgets", "m_values"), (
-        "a list of integers", lambda v: isinstance(v, tuple) and all(map(_is_int, v)))),
+        "a list of integers", lambda v: isinstance(v, tuple) and all(map(_is_int, v)),
+        _comma_list(int, "integers"))),
     "theta0": (
-        "a list of numbers", lambda v: isinstance(v, tuple) and all(map(_is_real, v))),
+        "a list of numbers", lambda v: isinstance(v, tuple) and all(map(_is_real, v)),
+        _comma_list(float, "reals")),
 }
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """One experiment run. A parameter field left None takes its default
+    from ``EXPERIMENTS``; a field the experiment does not read must be None."""
+
     experiment: str
     seed: int
     trials: int | None = None
@@ -71,19 +102,26 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         for f in fields(self):
             value = getattr(self, f.name)
-            what, check = _FIELD_TYPES[f.name]
+            what, check, _ = FIELD_TYPES[f.name]
             if not (check(value) or (value is None and f.default is None)):
                 raise ConfigError(f"config field {f.name!r} must be {what}, got {value!r}")
-        if self.experiment not in EXPERIMENT_NAMES:
+        if self.experiment not in EXPERIMENTS:
             raise ConfigError(
                 f"unknown experiment {self.experiment!r}; "
                 f"expected one of {', '.join(EXPERIMENT_NAMES)}"
             )
+        defaults = EXPERIMENTS[self.experiment]
+        for f in fields(self):
+            if f.name not in (*_COMMON_FIELDS, *defaults) and getattr(self, f.name) is not None:
+                raise ConfigError(f"the {self.experiment} experiment takes no {f.name!r}")
+        for name, default in defaults.items():
+            if getattr(self, name) is None:
+                object.__setattr__(self, name, default)
         if self.fmt not in ("csv", "json"):
             raise ConfigError(f"unknown output format {self.fmt!r}")
-        if self.trials is not None and self.trials < 1:
+        if self.trials < 1:
             raise ConfigError("trials must be positive")
-        if self.experiment == "variance" and self.trials is not None and self.trials < 2:
+        if self.experiment == "variance" and self.trials < 2:
             raise ConfigError("the variance experiment needs at least 2 trials")
         if self.candidates is not None and not Path(self.candidates).is_file():
             raise ConfigError(f"candidate file {self.candidates!r} does not exist")
@@ -100,6 +138,11 @@ class ExperimentConfig:
         unknown = set(data) - known
         if unknown:
             raise ConfigError(f"unknown config fields: {sorted(unknown)}")
+        named, chosen = data.get("experiment"), overrides.get("experiment")
+        if None not in (named, chosen) and named != chosen:
+            raise ConfigError(
+                f"config {path} is for the {named} experiment, not the {chosen} experiment"
+            )
         merged = {**data, **{k: v for k, v in overrides.items() if v is not None}}
         return cls(**_normalise(merged))
 
@@ -147,34 +190,29 @@ VARIANCE_COLUMNS = ("n", "budget", "trials", "var_first", "var_total")
 BIO_COLUMNS = ("n", "budget", "trials", "misclassification_rate")
 
 
-def _theta(config: ExperimentConfig, default: tuple[float, ...]) -> Categorical:
+def _theta(config: ExperimentConfig) -> Categorical:
     try:
-        return Categorical(config.theta0 if config.theta0 is not None else default)
+        return Categorical(config.theta0)
     except ValueError as exc:
         raise ConfigError(f"invalid theta0: {exc}") from exc
 
 
 def _run_correction_records(
-    config: ExperimentConfig,
-    default_theta: tuple[float, ...],
-    default_n: int,
-    with_attainable: bool,
+    config: ExperimentConfig, with_attainable: bool
 ) -> list[ExperimentRecord]:
-    theta0 = _theta(config, default_theta)
-    if config.n_values is not None and len(config.n_values) != 1:
+    theta0 = _theta(config)
+    if len(config.n_values) != 1:
         raise ConfigError(
             f"the {config.experiment} experiment takes a single n, "
             f"got {config.n_values}"
         )
-    n = config.n_values[0] if config.n_values else default_n
-    budgets = config.budgets if config.budgets is not None else (1,)
-    trials = config.trials if config.trials is not None else 50
+    (n,) = config.n_values
     seed = Seed(config.seed)
-    sequences = [sample_sequence(theta0, n, seed.spawn(t)) for t in range(trials)]
+    sequences = [sample_sequence(theta0, n, seed.spawn(t)) for t in range(config.trials)]
     originals = [counts_from_sequence(seq) for seq in sequences]
     estimates = [empirical_estimate(counts) for counts in originals]
     records = []
-    for budget, traces in replays(sequences, theta0, l1_terminal_reward(theta0), budgets):
+    for budget, traces in replays(sequences, theta0, l1_terminal_reward(theta0), config.budgets):
         for trial, (trace, original, estimate) in enumerate(zip(traces, originals, estimates)):
             records.append(ExperimentRecord(
                 experiment=config.experiment,
@@ -194,17 +232,15 @@ def _run_correction_records(
 
 
 def run_multinomial(config: ExperimentConfig) -> list[ExperimentRecord]:
-    """Per-trial original/online/batch errors; defaults to the three-value
-    source (0.4, 0.3, 0.3) with five observations and budget one."""
-    return _run_correction_records(config, (0.4, 0.3, 0.3), 5, with_attainable=False)
+    """Per-trial original/online/batch errors for a single n."""
+    return _run_correction_records(config, with_attainable=False)
 
 
 def run_binomial(config: ExperimentConfig) -> list[ExperimentRecord]:
-    """Two-value variant, with the closed-form attainable error alongside;
-    defaults to a fair source with ten observations."""
-    if _theta(config, (0.5, 0.5)).k != 2:
+    """Two-value variant, with the closed-form attainable error alongside."""
+    if _theta(config).k != 2:
         raise ConfigError("the binomial experiment needs a two-value theta0")
-    return _run_correction_records(config, (0.5, 0.5), 10, with_attainable=True)
+    return _run_correction_records(config, with_attainable=True)
 
 
 def run_variance_sweep(config: ExperimentConfig) -> list[dict[str, Any]]:
@@ -214,22 +250,19 @@ def run_variance_sweep(config: ExperimentConfig) -> list[dict[str, Any]]:
     documented headline number); ``var_total`` sums the per-coordinate
     variances. Streams are shared across budgets at each n.
     """
-    theta0 = _theta(config, (0.4, 0.3, 0.3))
-    n_values = config.n_values if config.n_values is not None else (5, 10, 15, 20, 25)
-    budgets = config.budgets if config.budgets is not None else (0, 1, 2)
-    trials = config.trials if config.trials is not None else 2000
+    theta0 = _theta(config)
     seed = Seed(config.seed)
     reward = l1_terminal_reward(theta0)
     rows = []
-    for n in n_values:
+    for n in config.n_values:
         sequences = [
-            sample_sequence(theta0, n, seed.spawn(n, t)) for t in range(trials)
+            sample_sequence(theta0, n, seed.spawn(n, t)) for t in range(config.trials)
         ]
-        for budget, traces in replays(sequences, theta0, reward, budgets):
+        for budget, traces in replays(sequences, theta0, reward, config.budgets):
             estimates = np.array([empirical_estimate(t.counts).probs for t in traces])
             per_coord = estimates.var(axis=0, ddof=1)
             rows.append({
-                "n": n, "budget": budget, "trials": trials,
+                "n": n, "budget": budget, "trials": config.trials,
                 "var_first": float(per_coord[0]),
                 "var_total": float(per_coord.sum()),
             })
@@ -238,17 +271,13 @@ def run_variance_sweep(config: ExperimentConfig) -> list[dict[str, Any]]:
 
 def run_bounds(config: ExperimentConfig) -> list[BoundReport]:
     """One Monte-Carlo bound report per (n, m, budget) grid point."""
-    n_values = config.n_values if config.n_values is not None else (5, 10, 25)
-    m_values = config.m_values if config.m_values is not None else (1, 2, 4)
-    budgets = config.budgets if config.budgets is not None else (0, 1, 3, 5)
-    trials = config.trials if config.trials is not None else 100_000
     seed = Seed(config.seed)
     reports = []
-    for n in n_values:
-        for m in m_values:
-            for budget in budgets:
+    for n in config.n_values:
+        for m in config.m_values:
+            for budget in config.budgets:
                 reports.append(
-                    monte_carlo_report(n, m, budget, trials, seed.spawn(n, m, budget))
+                    monte_carlo_report(n, m, budget, config.trials, seed.spawn(n, m, budget))
                 )
     return reports
 
@@ -276,21 +305,18 @@ def run_bio(config: ExperimentConfig) -> list[dict[str, Any]]:
         CandidateSet.from_file(config.candidates)
         if config.candidates else default_candidates()
     )
-    label = config.theta0_label if config.theta0_label is not None else 4
+    label = config.theta0_label
     if label not in candidates.labels():
         raise ConfigError(f"theta0_label {label} not among {candidates.labels()}")
-    n_values = config.n_values if config.n_values is not None else (10,)
-    budgets = config.budgets if config.budgets is not None else (0, 1, 2)
-    trials = config.trials if config.trials is not None else 1000
     seed = Seed(config.seed)
     rows = []
-    for n in n_values:
+    for n in config.n_values:
         rates = misclassification_experiment(
-            label, candidates, n, tuple(budgets), trials, seed.spawn(n)
+            label, candidates, n, config.budgets, config.trials, seed.spawn(n)
         )
-        for budget in budgets:
+        for budget in config.budgets:
             rows.append({
-                "n": n, "budget": budget, "trials": trials,
+                "n": n, "budget": budget, "trials": config.trials,
                 "misclassification_rate": rates[budget],
             })
     return rows

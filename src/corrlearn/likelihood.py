@@ -140,23 +140,12 @@ def ml_estimate(counts: CountVector, candidates: CandidateSet) -> int:
     return best_label
 
 
-def bio_terminal_reward(
-    theta0_label: int, candidates: CandidateSet, kind: str = "absolute"
-) -> TerminalReward:
-    """Identification reward on final counts.
-
-    "absolute" scores -|estimate - theta0|; "indicator" scores -1 for any
-    misidentification. Both depend on the final counts only.
-    """
+def bio_terminal_reward(theta0_label: int, candidates: CandidateSet) -> TerminalReward:
+    """Identification reward on final counts: -|estimate - theta0|."""
     candidates.by_label(theta0_label)  # raises KeyError for unknown labels
-    if kind not in ("absolute", "indicator"):
-        raise ValueError(f"unknown reward kind {kind!r}")
 
     def evaluate(counts: CountVector) -> float:
-        estimate = ml_estimate(counts, candidates)
-        if kind == "absolute":
-            return -abs(estimate - theta0_label)
-        return -1.0 if estimate != theta0_label else 0.0
+        return -abs(ml_estimate(counts, candidates) - theta0_label)
 
     return TerminalReward(evaluate)
 

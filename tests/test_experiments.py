@@ -22,6 +22,25 @@ from corrlearn.experiments import (
     run_multinomial,
     run_variance_sweep,
 )
+from corrlearn.likelihood import default_candidates
+
+
+# every (experiment, parameter it does not read) pair
+FOREIGN_PARAMETERS = [
+    *[(name, field) for name in ("multinomial", "binomial", "variance")
+      for field in ("m_values", "candidates", "theta0_label")],
+    *[("bounds", field) for field in ("theta0", "candidates", "theta0_label")],
+    ("bio", "m_values"),
+    ("bio", "theta0"),
+]
+# flags that keep each experiment's run short
+SMALL_RUN = {
+    "multinomial": ["--trials", "2", "--n-values", "3", "--budgets", "0"],
+    "binomial": ["--trials", "2", "--n-values", "3", "--budgets", "0"],
+    "variance": ["--trials", "2", "--n-values", "3", "--budgets", "0"],
+    "bounds": ["--trials", "2", "--n-values", "3", "--m-values", "1", "--budgets", "0"],
+    "bio": ["--trials", "2", "--n-values", "3", "--budgets", "0"],
+}
 
 
 def config(**kwargs):
@@ -338,6 +357,46 @@ class TestCli:
         assert cli.main(["binomial", "--seed", "3", "--trials", "2",
                          "--out", str(out_b)]) == 0
         assert out_a.read_text() == out_b.read_text()
+
+    def test_config_for_another_experiment_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"experiment": "bounds", "seed": 3, "trials": 2}))
+        assert cli.main(["multinomial", "--seed", "3", "--config", str(cfg)]) == 2
+        assert "the bounds experiment, not the multinomial" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("experiment,field", FOREIGN_PARAMETERS)
+    def test_parameter_the_experiment_does_not_read_exits_2(
+        self, tmp_path, capsys, experiment, field
+    ):
+        default_candidates().to_file(tmp_path / "models.json")
+        flag_value, file_value = {
+            "m_values": ("9", [9]),
+            "theta0": ("0.5,0.5", [0.5, 0.5]),
+            "candidates": (str(tmp_path / "models.json"),) * 2,
+            "theta0_label": ("4", 4),
+        }[field]
+        argv = [experiment, "--seed", "1", *SMALL_RUN[experiment]]
+        with pytest.raises(SystemExit) as err:
+            cli.main([*argv, "--" + field.replace("_", "-"), flag_value])
+        assert err.value.code == 2
+        capsys.readouterr()
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({field: file_value}))
+        assert cli.main([*argv, "--config", str(cfg)]) == 2
+        assert f"the {experiment} experiment takes no {field!r}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        "bio --seed 1 --trials 3 --n-values 3 --budgets 0 --theta0 0.5,0.5 --m-values 9",
+        "variance --seed 1 --candidates /nonexistent",
+        "multinomial --seed 1 --n 4 --budget 2",
+        "solve --n 3 --budget 1 --theta 0.5,0.5",
+        "bio --seed 1 --trials 3 --n-values 3 --budgets 0 --theta0 4",
+    ], ids=["ignored-flags", "unread-candidates", "abbreviated-experiment-flags",
+            "abbreviated-solve-flag", "theta0-is-not-theta0-label"])
+    def test_unread_or_abbreviated_flag_exits_2(self, capsys, argv):
+        with pytest.raises(SystemExit) as err:
+            cli.main(argv.split())
+        assert err.value.code == 2
 
     def test_repeat_runs_byte_identical(self, tmp_path):
         outs = []

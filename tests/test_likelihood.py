@@ -166,16 +166,9 @@ class TestBioTerminalReward:
         assert reward.evaluate(cv((0, 10, 0, 0))) == -4.0
         assert reward.evaluate(cv((3, 6, 0, 1))) == -4.0
 
-    def test_indicator_variant(self, candidates):
-        reward = bio_terminal_reward(4, candidates, kind="indicator")
-        assert reward.evaluate(cv((0, 10, 0, 0))) == -1.0
-        assert reward.evaluate(cv((1, 7, 1, 1))) == 0.0
-
     def test_unknown_label_rejected(self, candidates):
         with pytest.raises(KeyError):
             bio_terminal_reward(3, candidates)
-        with pytest.raises(ValueError, match="kind"):
-            bio_terminal_reward(4, candidates, kind="squared")
 
 
 class TestRewardPlumbing:

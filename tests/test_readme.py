@@ -1,7 +1,11 @@
-"""The README's library quick tour runs as written."""
+"""The README's library quick tour runs as written, and its CLI examples
+parse."""
 
 import re
+import shlex
 from pathlib import Path
+
+from corrlearn.cli import build_parser
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -13,3 +17,14 @@ def test_quick_tour_runs():
     exec(code, namespace)
     assert namespace["trace"].budget_spent <= 1
     assert namespace["offline"].corrections_used <= 1
+
+
+def test_cli_examples_parse():
+    section = README.read_text().split("## CLI", 1)[1]
+    block = re.search(r"```sh\n(.*?)```", section, re.DOTALL).group(1)
+    commands = [shlex.split(line, comments=True) for line in block.splitlines()]
+    commands = [words[1:] for words in commands if words[:1] == ["corrlearn"]]
+    assert commands
+    parser = build_parser()
+    for argv in commands:
+        parser.parse_args(argv)  # exits 2 on a flag the subcommand does not take
