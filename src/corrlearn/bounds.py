@@ -10,7 +10,8 @@ A ratio-form bound (6M/(5M+1)) exp(.) also circulates; its derivation
 normalises by a per-draw variance of (5M^2+M)/6, which overstates the
 true Unif{0..M} variance M(M+2)/12. The ratio bound is therefore reported
 for reference but never asserted; ``uniform_variance`` returns both
-constants so the discrepancy stays visible.
+constants so the discrepancy stays visible. ``monte_carlo_report``
+returns a ``BoundReport``; the ``bounds`` experiment lays out its columns.
 """
 
 from __future__ import annotations
@@ -25,12 +26,6 @@ from .core import Categorical, Seed
 
 MIN_TRIALS = 1000
 
-BOUND_CSV_COLUMNS = (
-    "N", "M", "B", "trials",
-    "bound_abs", "bound_ratio_paper", "var_orig", "var_corr", "ratio",
-)
-
-
 @dataclass(frozen=True)
 class BoundReport:
     n: int
@@ -42,14 +37,6 @@ class BoundReport:
     empirical_var_original: float
     empirical_var_corrected: float
     empirical_ratio: float
-
-    def csv_values(self) -> tuple[int | float, ...]:
-        return (
-            self.n, self.m, self.b, self.trials,
-            self.bound_abs, self.bound_ratio_paper,
-            self.empirical_var_original, self.empirical_var_corrected,
-            self.empirical_ratio,
-        )
 
 
 class UniformVariance(NamedTuple):

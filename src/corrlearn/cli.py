@@ -1,8 +1,8 @@
 """Command-line driver: seeded experiment runners plus a policy dump.
 
-Each experiment subcommand takes ``--config``, ``--seed``, ``--out`` and
-``--format``, plus one flag per parameter in its ``experiments.EXPERIMENTS``
-entry; ``--help`` shows each default. A flag or config-file field the
+Each ``experiments.EXPERIMENTS`` entry becomes a subcommand with its help
+line, ``--config``, ``--seed``, ``--out``, ``--format`` and one flag per
+parameter; ``--help`` shows each default. A flag or config-file field the
 experiment does not read, and an abbreviated flag, exit 2.
 
 Exit codes: 0 success, 2 configuration error, 3 solver ceiling exceeded,
@@ -34,23 +34,6 @@ EXIT_CEILING = 3
 EXIT_INVARIANT = 4
 
 
-def _add_experiment_parser(sub: argparse._SubParsersAction, name: str, help_text: str):
-    p = sub.add_parser(name, help=help_text, allow_abbrev=False)
-    p.add_argument("--config", help="JSON config file; flags override its fields")
-    p.add_argument("--seed", type=int, required=True,
-                   help="root seed (required: runs must be reproducible)")
-    p.add_argument("--out", dest="output", metavar="PATH", help="output path (default: stdout)")
-    p.add_argument("--format", choices=("csv", "json"), default=None, dest="fmt")
-    for field, default in EXPERIMENTS[name].items():
-        if default is None:
-            default = "the built-in set"
-        elif isinstance(default, tuple):
-            default = ",".join(map(str, default))
-        p.add_argument("--" + field.replace("_", "-"), type=FIELD_TYPES[field][2],
-                       help=f"default: {default}")
-    return p
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="corrlearn",
@@ -58,16 +41,21 @@ def build_parser() -> argparse.ArgumentParser:
         allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    _add_experiment_parser(sub, "multinomial",
-                           "per-trial original/online/batch errors, three-value source")
-    _add_experiment_parser(sub, "binomial",
-                           "two-value source with the closed-form attainable error")
-    _add_experiment_parser(sub, "variance",
-                           "corrected-estimate variance over an (n, budget) grid")
-    _add_experiment_parser(sub, "bounds",
-                           "Monte-Carlo verification of the variance-decrease bounds")
-    _add_experiment_parser(sub, "bio",
-                           "model-identification misclassification rates")
+    for name, experiment in EXPERIMENTS.items():
+        p = sub.add_parser(name, help=experiment.help, allow_abbrev=False)
+        p.add_argument("--config", help="JSON config file; flags override its fields")
+        p.add_argument("--seed", type=int, required=True,
+                       help="root seed (required: runs must be reproducible)")
+        p.add_argument("--out", dest="output", metavar="PATH",
+                       help="output path (default: stdout)")
+        p.add_argument("--format", choices=("csv", "json"), default=None, dest="fmt")
+        for field, default in experiment.defaults.items():
+            if default is None:
+                default = "the built-in set"
+            elif isinstance(default, tuple):
+                default = ",".join(map(str, default))
+            p.add_argument("--" + field.replace("_", "-"), type=FIELD_TYPES[field][2],
+                           help=f"default: {default}")
 
     ps = sub.add_parser("solve", help="solve a policy and dump it as text", allow_abbrev=False)
     ps.add_argument("--n", type=int, required=True)
@@ -79,7 +67,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _experiment_config(args: argparse.Namespace) -> ExperimentConfig:
     overrides = dict(experiment=args.command, seed=args.seed, output=args.output, fmt=args.fmt)
-    overrides.update((field, getattr(args, field)) for field in EXPERIMENTS[args.command])
+    overrides.update((field, getattr(args, field)) for field in EXPERIMENTS[args.command].defaults)
     if args.config:
         return ExperimentConfig.from_file(args.config, **overrides)
     return ExperimentConfig(**{k: v for k, v in overrides.items() if v is not None})

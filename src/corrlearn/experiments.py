@@ -1,9 +1,11 @@
 """Seeded experiment runners and their machine-readable outputs.
 
-Every runner is a pure function of its config: trial streams are derived
-from (seed, structural indices) only, so repeat runs emit byte-identical
-output. CSV uses a fixed header, 12-significant-digit reals and LF line
-endings; JSON output carries the same rows as objects.
+``EXPERIMENTS`` holds each experiment's help line, runner and parameter
+defaults. A runner returns one dict per row, keyed by column in column
+order, so ``run_and_format`` serialises any experiment the same way.
+Trial streams derive from (seed, structural indices) only, so repeat runs
+emit byte-identical output. CSV uses a fixed header, 12-significant-digit
+reals and LF line endings; JSON output carries the same rows as objects.
 """
 
 from __future__ import annotations
@@ -13,31 +15,54 @@ import json
 import sys
 from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, NamedTuple, Sequence
 
 import numpy as np
 
 from .batch import attainable_error, batch_correct
-from .bounds import BOUND_CSV_COLUMNS, BoundReport, monte_carlo_report
+from .bounds import BoundReport, monte_carlo_report
 from .core import Categorical, Seed, counts_from_sequence, empirical_estimate, l1_error, sample_sequence
 from .likelihood import CandidateSet, default_candidates, misclassification_experiment
 from .mdp import l1_terminal_reward
 from .teacher import replays
 
-# The parameters each experiment reads, with their defaults: the only place
-# that says so. The CLI builds each subcommand's flags from it, and a config
-# may set no other parameter field.
-EXPERIMENTS: dict[str, dict[str, Any]] = {
-    "multinomial": dict(trials=50, n_values=(5,), budgets=(1,), theta0=(0.4, 0.3, 0.3)),
-    "binomial": dict(trials=50, n_values=(10,), budgets=(1,), theta0=(0.5, 0.5)),
-    "variance": dict(trials=2000, n_values=(5, 10, 15, 20, 25), budgets=(0, 1, 2),
-                     theta0=(0.4, 0.3, 0.3)),
-    "bounds": dict(trials=100_000, n_values=(5, 10, 25), m_values=(1, 2, 4),
-                   budgets=(0, 1, 3, 5)),
-    "bio": dict(trials=1000, n_values=(10,), budgets=(0, 1, 2), candidates=None,
-                theta0_label=4),
+Row = dict[str, Any]  # one output row: column name -> value, in column order
+
+
+class Experiment(NamedTuple):
+    help: str
+    run: Callable[["ExperimentConfig"], list[Row]]
+    defaults: dict[str, Any]  # each parameter the experiment reads -> its default
+
+
+# The only list of experiments: the CLI builds a subcommand per entry and a
+# flag per parameter. Runners are called through lambdas so that a call finds
+# the module's current binding, which the benchmark's layer tracer replaces.
+EXPERIMENTS: dict[str, Experiment] = {
+    "multinomial": Experiment(
+        "per-trial original/online/batch errors, three-value source",
+        lambda config: run_multinomial(config),
+        dict(trials=50, n_values=(5,), budgets=(1,), theta0=(0.4, 0.3, 0.3))),
+    "binomial": Experiment(
+        "two-value source with the closed-form attainable error",
+        lambda config: run_binomial(config),
+        dict(trials=50, n_values=(10,), budgets=(1,), theta0=(0.5, 0.5))),
+    "variance": Experiment(
+        "corrected-estimate variance over an (n, budget) grid",
+        lambda config: run_variance_sweep(config),
+        dict(trials=2000, n_values=(5, 10, 15, 20, 25), budgets=(0, 1, 2),
+             theta0=(0.4, 0.3, 0.3))),
+    "bounds": Experiment(
+        "Monte-Carlo verification of the variance-decrease bounds",
+        lambda config: run_bounds(config),
+        dict(trials=100_000, n_values=(5, 10, 25), m_values=(1, 2, 4),
+             budgets=(0, 1, 3, 5))),
+    "bio": Experiment(
+        "model-identification misclassification rates",
+        lambda config: run_bio(config),
+        dict(trials=1000, n_values=(10,), budgets=(0, 1, 2), candidates=None,
+             theta0_label=4)),
 }
-EXPERIMENT_NAMES = tuple(EXPERIMENTS)
 # config fields every experiment takes; the rest are experiment parameters
 _COMMON_FIELDS = ("experiment", "seed", "output", "fmt")
 
@@ -108,21 +133,22 @@ class ExperimentConfig:
         if self.experiment not in EXPERIMENTS:
             raise ConfigError(
                 f"unknown experiment {self.experiment!r}; "
-                f"expected one of {', '.join(EXPERIMENT_NAMES)}"
+                f"expected one of {', '.join(EXPERIMENTS)}"
             )
-        defaults = EXPERIMENTS[self.experiment]
+        defaults = EXPERIMENTS[self.experiment].defaults
         for f in fields(self):
             if f.name not in (*_COMMON_FIELDS, *defaults) and getattr(self, f.name) is not None:
                 raise ConfigError(f"the {self.experiment} experiment takes no {f.name!r}")
         for name, default in defaults.items():
             if getattr(self, name) is None:
                 object.__setattr__(self, name, default)
+        for name in ("n_values", "budgets", "m_values"):
+            if getattr(self, name) == ():
+                raise ConfigError(f"config field {name!r} must not be empty")
         if self.fmt not in ("csv", "json"):
             raise ConfigError(f"unknown output format {self.fmt!r}")
         if self.trials < 1:
             raise ConfigError("trials must be positive")
-        if self.experiment == "variance" and self.trials < 2:
-            raise ConfigError("the variance experiment needs at least 2 trials")
         if self.candidates is not None and not Path(self.candidates).is_file():
             raise ConfigError(f"candidate file {self.candidates!r} does not exist")
 
@@ -155,17 +181,20 @@ def _normalise(data: dict[str, Any]) -> dict[str, Any]:
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class ExperimentRecord:
+    """A correction row: binomial's columns in order; multinomial's lack
+    ``error_attainable``."""
+
     experiment: str
     seed: int
     trial: int
     budget: int
     error_original: float
     error_online: float
+    error_attainable: float | None = None
     error_batch: float
     budget_spent: int
-    error_attainable: float | None = None
 
     def __post_init__(self) -> None:
         if min(self.error_original, self.error_online, self.error_batch) < 0:
@@ -177,19 +206,6 @@ class ExperimentRecord:
             )
 
 
-MULTINOMIAL_COLUMNS = (
-    "experiment", "seed", "trial", "budget",
-    "error_original", "error_online", "error_batch", "budget_spent",
-)
-BINOMIAL_COLUMNS = (
-    "experiment", "seed", "trial", "budget",
-    "error_original", "error_online", "error_attainable", "error_batch",
-    "budget_spent",
-)
-VARIANCE_COLUMNS = ("n", "budget", "trials", "var_first", "var_total")
-BIO_COLUMNS = ("n", "budget", "trials", "misclassification_rate")
-
-
 def _theta(config: ExperimentConfig) -> Categorical:
     try:
         return Categorical(config.theta0)
@@ -197,9 +213,7 @@ def _theta(config: ExperimentConfig) -> Categorical:
         raise ConfigError(f"invalid theta0: {exc}") from exc
 
 
-def _run_correction_records(
-    config: ExperimentConfig, with_attainable: bool
-) -> list[ExperimentRecord]:
+def _run_correction_records(config: ExperimentConfig, with_attainable: bool) -> list[Row]:
     theta0 = _theta(config)
     if len(config.n_values) != 1:
         raise ConfigError(
@@ -211,10 +225,10 @@ def _run_correction_records(
     sequences = [sample_sequence(theta0, n, seed.spawn(t)) for t in range(config.trials)]
     originals = [counts_from_sequence(seq) for seq in sequences]
     estimates = [empirical_estimate(counts) for counts in originals]
-    records = []
+    rows = []
     for budget, traces in replays(sequences, theta0, l1_terminal_reward(theta0), config.budgets):
         for trial, (trace, original, estimate) in enumerate(zip(traces, originals, estimates)):
-            records.append(ExperimentRecord(
+            record = ExperimentRecord(
                 experiment=config.experiment,
                 seed=config.seed,
                 trial=trial,
@@ -227,29 +241,32 @@ def _run_correction_records(
                     attainable_error(n, theta0, budget, estimate)
                     if with_attainable else None
                 ),
-            ))
-    return records
+            )
+            rows.append({k: v for k, v in vars(record).items() if v is not None})
+    return rows
 
 
-def run_multinomial(config: ExperimentConfig) -> list[ExperimentRecord]:
+def run_multinomial(config: ExperimentConfig) -> list[Row]:
     """Per-trial original/online/batch errors for a single n."""
     return _run_correction_records(config, with_attainable=False)
 
 
-def run_binomial(config: ExperimentConfig) -> list[ExperimentRecord]:
+def run_binomial(config: ExperimentConfig) -> list[Row]:
     """Two-value variant, with the closed-form attainable error alongside."""
     if _theta(config).k != 2:
         raise ConfigError("the binomial experiment needs a two-value theta0")
     return _run_correction_records(config, with_attainable=True)
 
 
-def run_variance_sweep(config: ExperimentConfig) -> list[dict[str, Any]]:
+def run_variance_sweep(config: ExperimentConfig) -> list[Row]:
     """Sample variance of the corrected estimate per (n, budget) cell.
 
     ``var_first`` is the variance of the estimate's first coordinate (the
     documented headline number); ``var_total`` sums the per-coordinate
     variances. Streams are shared across budgets at each n.
     """
+    if config.trials < 2:
+        raise ConfigError("the variance experiment needs at least 2 trials")
     theta0 = _theta(config)
     seed = Seed(config.seed)
     reward = l1_terminal_reward(theta0)
@@ -269,17 +286,20 @@ def run_variance_sweep(config: ExperimentConfig) -> list[dict[str, Any]]:
     return rows
 
 
-def run_bounds(config: ExperimentConfig) -> list[BoundReport]:
+def run_bounds(config: ExperimentConfig) -> list[Row]:
     """One Monte-Carlo bound report per (n, m, budget) grid point."""
     seed = Seed(config.seed)
-    reports = []
-    for n in config.n_values:
-        for m in config.m_values:
-            for budget in config.budgets:
-                reports.append(
-                    monte_carlo_report(n, m, budget, config.trials, seed.spawn(n, m, budget))
-                )
-    return reports
+    reports = [
+        monte_carlo_report(n, m, budget, config.trials, seed.spawn(n, m, budget))
+        for n in config.n_values for m in config.m_values for budget in config.budgets
+    ]
+    _warn_ratio_bound(reports)
+    return [{
+        "N": r.n, "M": r.m, "B": r.b, "trials": r.trials,
+        "bound_abs": r.bound_abs, "bound_ratio_paper": r.bound_ratio_paper,
+        "var_orig": r.empirical_var_original, "var_corr": r.empirical_var_corrected,
+        "ratio": r.empirical_ratio,
+    } for r in reports]
 
 
 def _warn_ratio_bound(reports: Sequence[BoundReport]) -> None:
@@ -299,7 +319,7 @@ def _warn_ratio_bound(reports: Sequence[BoundReport]) -> None:
         )
 
 
-def run_bio(config: ExperimentConfig) -> list[dict[str, Any]]:
+def run_bio(config: ExperimentConfig) -> list[Row]:
     """Misclassification rates per (n, budget) for the identification task."""
     candidates = (
         CandidateSet.from_file(config.candidates)
@@ -323,11 +343,7 @@ def run_bio(config: ExperimentConfig) -> list[dict[str, Any]]:
 
 
 def _format_value(value: Any) -> str:
-    if isinstance(value, (bool, int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return format(float(value), ".12g")
-    return str(value)
+    return format(value, ".12g") if isinstance(value, float) else str(value)
 
 
 def format_csv(columns: Sequence[str], rows: Sequence[Sequence[Any]]) -> str:
@@ -336,37 +352,13 @@ def format_csv(columns: Sequence[str], rows: Sequence[Sequence[Any]]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _record_rows(records: Sequence[ExperimentRecord], columns: Sequence[str]):
-    return [tuple(getattr(r, c) for c in columns) for r in records]
-
-
 def run_and_format(config: ExperimentConfig) -> str:
-    """Run the configured experiment and return its serialised output."""
-    if config.experiment == "multinomial":
-        columns: Sequence[str] = MULTINOMIAL_COLUMNS
-        rows = _record_rows(run_multinomial(config), columns)
-    elif config.experiment == "binomial":
-        columns = BINOMIAL_COLUMNS
-        rows = _record_rows(run_binomial(config), columns)
-    elif config.experiment == "variance":
-        columns = VARIANCE_COLUMNS
-        raw = run_variance_sweep(config)
-        rows = [tuple(r[c] for c in columns) for r in raw]
-    elif config.experiment == "bounds":
-        columns = BOUND_CSV_COLUMNS
-        reports = run_bounds(config)
-        _warn_ratio_bound(reports)
-        rows = [r.csv_values() for r in reports]
-    elif config.experiment == "bio":
-        columns = BIO_COLUMNS
-        raw = run_bio(config)
-        rows = [tuple(r[c] for c in columns) for r in raw]
-    else:  # unreachable: the config validates the name
-        raise ConfigError(f"unknown experiment {config.experiment!r}")
+    """Run the configured experiment and return its serialised output.
+    A config's grids and trials are non-empty, so there is a first row."""
+    rows = EXPERIMENTS[config.experiment].run(config)
     if config.fmt == "json":
-        payload = [dict(zip(columns, row)) for row in rows]
-        return json.dumps(payload, indent=2) + "\n"
-    return format_csv(columns, rows)
+        return json.dumps(rows, indent=2) + "\n"
+    return format_csv(tuple(rows[0]), [tuple(row.values()) for row in rows])
 
 
 def write_output(text: str, path: str | None) -> None:

@@ -56,22 +56,18 @@ def run_online(
     if budget < 0:
         raise ValueError("budget must be nonnegative")
     _check_policy(policy, seq.k, len(seq), budget)
-    counts = [0] * seq.k
-    remaining = budget
+    counts, remaining = (0,) * seq.k, budget
     corrected: list[int] = []
     for y in seq.values:
-        counts[y] += 1
-        action = policy.action_for(TeacherState(tuple(counts), remaining, y))
-        if action.target != y:
-            if remaining < 1:
-                raise ValueError("policy changed an observation with no budget left")
-            counts[y] -= 1
-            counts[action.target] += 1
-            remaining -= 1
+        arrived = list(counts)
+        arrived[y] += 1
+        state = TeacherState(tuple(arrived), remaining, y)
+        action = policy.action_for(state)
+        counts, remaining = apply_action(state, action)
         corrected.append(action.target)
     return OnlineTrace(
         corrected=ObservationSequence(tuple(corrected), seq.k),
-        counts=CountVector(tuple(counts), len(seq)),
+        counts=CountVector(counts, len(seq)),
         budget_spent=budget - remaining,
     )
 

@@ -213,9 +213,9 @@ def test_criterion_7_multinomial_mean_improvement():
         n_values=(5,), budgets=(1,),
     ))
     elapsed = time.perf_counter() - start
-    mean_orig = sum(r.error_original for r in records) / len(records)
-    mean_online = sum(r.error_online for r in records) / len(records)
-    batch_ok = all(r.error_online >= r.error_batch - 1e-12 for r in records)
+    mean_orig = sum(r["error_original"] for r in records) / len(records)
+    mean_online = sum(r["error_online"] for r in records) / len(records)
+    batch_ok = all(r["error_online"] >= r["error_batch"] - 1e-12 for r in records)
     ok = mean_online <= mean_orig and batch_ok and elapsed < 10
     report(7, ok, f"mean error {mean_orig:.4f} -> {mean_online:.4f} over 50 runs; "
                   f"online >= batch per record: {batch_ok}; {elapsed:.1f}s")

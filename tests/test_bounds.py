@@ -1,12 +1,14 @@
 import math
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stat_helpers import sample_variance_se, uniform_central_moments
 
 from corrlearn.bounds import (
-    BoundReport,
     monte_carlo_report,
     project_sum,
     uniform_variance,
@@ -180,11 +182,56 @@ class TestMonteCarloReport:
             monte_carlo_report(10, 3, 0, 2_000, Seed(1), dist=Categorical((0.5, 0.5)))
 
 
-def test_bound_report_csv_values_order():
-    report = BoundReport(
-        n=5, m=1, b=2, trials=1000,
-        bound_abs=0.5, bound_ratio_paper=0.4,
-        empirical_var_original=0.05, empirical_var_corrected=0.01,
-        empirical_ratio=0.2,
-    )
-    assert report.csv_values() == (5, 1, 2, 1000, 0.5, 0.4, 0.05, 0.01, 0.2)
+
+def exact_moments(n, m, b, probs, mu):
+    """Exact (variance, fourth central moment) of Y/n and of the projected
+    sum over n, where Y sums n i.i.d. draws on {0..m} with pmf ``probs``:
+    Y's pmf is the n-fold convolution, and ``project_sum`` maps its support
+    toward n*mu."""
+    pmf = np.array([1.0])
+    for _ in range(n):
+        pmf = np.convolve(pmf, probs)
+    support = np.arange(n * m + 1)
+    projected = np.array([project_sum(int(y), n * mu, b, upper=n * m) for y in support])
+    moments = []
+    for values in (support, projected):
+        centred = values / n - pmf @ (values / n)
+        moments.append((float(pmf @ centred**2), float(pmf @ centred**4)))
+    return moments
+
+
+def uniform_exact_moments(n, m, b):
+    # the same target n*m/2 as monte_carlo_report, so half-integer ties agree
+    return exact_moments(n, m, b, np.full(m + 1, 1 / (m + 1)), m / 2)
+
+
+class TestExactOracle:
+    TRIALS = 20_000
+
+    @pytest.mark.parametrize("n,m,b,probs", [
+        (5, 1, 1, None), (10, 2, 0, None), (10, 2, 3, None), (25, 4, 5, None),
+        (8, 3, 12, None), (2, 2, 1, (0.5, 0.25, 0.25)), (4, 2, 1, (0.5, 0.25, 0.25)),
+        (9, 2, 2, (0.5, 0.25, 0.25)),
+        (12, 3, 3, (0.1, 0.2, 0.3, 0.4)),
+    ])
+    def test_monte_carlo_within_three_sigma_of_exact(self, n, m, b, probs):
+        dist = None if probs is None else Categorical(probs)
+        report = monte_carlo_report(n, m, b, self.TRIALS, Seed(2024).spawn(n, m, b), dist)
+        if dist is None:
+            exact = uniform_exact_moments(n, m, b)
+        else:
+            exact = exact_moments(n, m, b, np.array(dist.probs),
+                                  float(sum(v * p for v, p in enumerate(dist.probs))))
+        empirical = (report.empirical_var_original, report.empirical_var_corrected)
+        t = self.TRIALS
+        for value, (var, mu4) in zip(empirical, exact):
+            # standard error of a sample variance from its fourth moment
+            se = math.sqrt((mu4 - var**2 * (t - 3) / (t - 1)) / t)
+            assert abs(value - var) <= 3 * se
+
+    @settings(max_examples=100, deadline=None)
+    @given(n=st.integers(1, 30), m=st.sampled_from((1, 2, 3, 4, 6, 8)), data=st.data())
+    def test_exact_corrected_variance_within_absolute_bound(self, n, m, data):
+        b = data.draw(st.integers(0, min(n * m, 40)))
+        (_, _), (var_corr, _) = uniform_exact_moments(n, m, b)
+        assert var_corr <= var_bound_abs(n, m, b)

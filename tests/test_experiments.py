@@ -8,8 +8,6 @@ from corrlearn.batch import e_min
 from corrlearn.core import Categorical
 from corrlearn.dp import Policy
 from corrlearn.experiments import (
-    BINOMIAL_COLUMNS,
-    MULTINOMIAL_COLUMNS,
     ConfigError,
     ExperimentConfig,
     ExperimentRecord,
@@ -25,6 +23,13 @@ from corrlearn.experiments import (
 from corrlearn.likelihood import default_candidates
 
 
+MULTINOMIAL_HEADER = (
+    "experiment,seed,trial,budget,error_original,error_online,error_batch,budget_spent"
+)
+BINOMIAL_HEADER = (
+    "experiment,seed,trial,budget,error_original,error_online,error_attainable,"
+    "error_batch,budget_spent"
+)
 # every (experiment, parameter it does not read) pair
 FOREIGN_PARAMETERS = [
     *[(name, field) for name in ("multinomial", "binomial", "variance")
@@ -103,39 +108,39 @@ class TestMultinomialRunner:
         records = run_multinomial(config(trials=10, budgets=(0,)))
         assert len(records) == 10
         for r in records:
-            assert r.error_online == r.error_original
-            assert r.budget_spent == 0
+            assert r["error_online"] == r["error_original"]
+            assert r["budget_spent"] == 0
 
     def test_default_shape_and_improvement(self):
         records = run_multinomial(config(trials=50))
         assert len(records) == 50
-        mean_orig = sum(r.error_original for r in records) / len(records)
-        mean_online = sum(r.error_online for r in records) / len(records)
+        mean_orig = sum(r["error_original"] for r in records) / len(records)
+        mean_online = sum(r["error_online"] for r in records) / len(records)
         assert mean_online <= mean_orig
         for r in records:
-            assert r.error_batch <= r.error_online + 1e-12
+            assert r["error_batch"] <= r["error_online"] + 1e-12
 
     def test_full_budget_reaches_the_floor_everywhere(self):
         floor = e_min(5, Categorical((0.4, 0.3, 0.3))).error
         records = run_multinomial(config(trials=25, budgets=(5,)))
         for r in records:
-            assert r.error_online == pytest.approx(floor, abs=1e-12)
-            assert r.error_batch == pytest.approx(floor, abs=1e-12)
+            assert r["error_online"] == pytest.approx(floor, abs=1e-12)
+            assert r["error_batch"] == pytest.approx(floor, abs=1e-12)
 
 
 class TestBinomialRunner:
     def test_online_matches_attainable_on_every_record(self):
         records = run_binomial(config(experiment="binomial", trials=50))
         for r in records:
-            assert r.error_attainable is not None
-            assert r.error_online == pytest.approx(r.error_attainable, abs=1e-12)
-            assert r.error_online <= r.error_original + 1e-12
+            assert r["error_attainable"] is not None
+            assert r["error_online"] == pytest.approx(r["error_attainable"], abs=1e-12)
+            assert r["error_online"] <= r["error_original"] + 1e-12
 
     def test_zero_budget_collapses_the_columns(self):
         records = run_binomial(config(experiment="binomial", trials=20, budgets=(0,)))
         for r in records:
-            assert r.error_online == r.error_original == r.error_attainable
-            assert r.error_batch == r.error_original
+            assert r["error_online"] == r["error_original"] == r["error_attainable"]
+            assert r["error_batch"] == r["error_original"]
 
     def test_wide_theta_rejected(self):
         with pytest.raises(ConfigError, match="two-value"):
@@ -173,12 +178,12 @@ class TestBoundsRunner:
             experiment="bounds", n_values=(5,), m_values=(1, 2), budgets=(0, 2),
             trials=2000,
         ))
-        assert [(r.n, r.m, r.b) for r in reports] == [
+        assert [(r["N"], r["M"], r["B"]) for r in reports] == [
             (5, 1, 0), (5, 1, 2), (5, 2, 0), (5, 2, 2),
         ]
         for r in reports:
-            assert r.trials == 2000
-            assert r.empirical_var_corrected <= r.bound_abs
+            assert r["trials"] == 2000
+            assert r["var_corr"] <= r["bound_abs"]
 
     def test_ratio_bound_note_from_one_grid_run(self, monkeypatch, capsys):
         real = experiments.monte_carlo_report
@@ -235,11 +240,11 @@ class TestOutputFormats:
     def test_run_and_format_csv_header(self):
         text = run_and_format(config(trials=3))
         header = text.split("\n", 1)[0]
-        assert header == ",".join(MULTINOMIAL_COLUMNS)
+        assert header == MULTINOMIAL_HEADER
 
     def test_binomial_header_includes_attainable(self):
         text = run_and_format(config(experiment="binomial", trials=3))
-        assert text.split("\n", 1)[0] == ",".join(BINOMIAL_COLUMNS)
+        assert text.split("\n", 1)[0] == BINOMIAL_HEADER
         assert "error_attainable" in text
 
     @pytest.mark.parametrize("fields", [
@@ -280,7 +285,7 @@ class TestCli:
         ])
         assert code == 0
         lines = out.read_text().split("\n")
-        assert lines[0] == ",".join(MULTINOMIAL_COLUMNS)
+        assert lines[0] == MULTINOMIAL_HEADER
         assert len(lines) == 6  # header + 4 records + trailing newline
 
     def test_seed_is_mandatory(self, capsys):
@@ -304,6 +309,17 @@ class TestCli:
         path.write_text(json.dumps(data))
         assert cli.main(["multinomial", "--seed", "1", "--config", str(path)]) == 2
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("experiment,field", [
+        *[(name, field) for name in ("multinomial", "binomial", "variance", "bounds", "bio")
+          for field in ("n_values", "budgets")],
+        ("bounds", "m_values"),
+    ])
+    def test_empty_grid_in_config_file_exits_2(self, tmp_path, capsys, experiment, field):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({field: []}))
+        assert cli.main([experiment, "--seed", "1", "--config", str(path)]) == 2
+        assert f"config field {field!r} must not be empty" in capsys.readouterr().err
 
     def test_variance_with_one_trial_exits_2(self, capsys):
         argv = ["variance", "--seed", "1", "--n-values", "4", "--budgets", "0", "--trials", "1"]

@@ -15,7 +15,13 @@ from corrlearn.core import (
     sample_sequence,
 )
 from corrlearn.dp import root_value, solve
-from corrlearn.mdp import Action, MdpSpec, TeacherState, l1_terminal_reward
+from corrlearn.mdp import (
+    Action,
+    BudgetExhaustedError,
+    MdpSpec,
+    TeacherState,
+    l1_terminal_reward,
+)
 from corrlearn.teacher import (
     BinomialThresholdPolicy,
     expected_online_error,
@@ -79,6 +85,15 @@ class TestRunOnline:
             )
             assert diffs == trace.budget_spent <= 2
             assert trace.counts == counts_from_sequence(trace.corrected)
+
+    def test_change_with_no_budget_left_raises(self):
+        class AlwaysFlip:
+            def action_for(self, state):
+                return Action(1 - state.last_obs)
+
+        seq = ObservationSequence((0, 1, 1), 2)
+        with pytest.raises(BudgetExhaustedError):
+            run_online(seq, AlwaysFlip(), 2)
 
     def test_online_never_beats_batch(self):
         theta = Categorical((0.4, 0.3, 0.3))
