@@ -11,6 +11,7 @@ every feasible action.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable
 
 from .core import CountVector
 from .mdp import (
@@ -26,7 +27,11 @@ from .mdp import (
     transitions,
 )
 
-DEFAULT_STATE_CEILING = 50_000_000
+# A solve's peak RSS grows by 300-345 bytes per unit of ``state_count_bound``
+# (measured at (k, n, budget) = (3, 25, 2), (3, 40, 3), (3, 60, 3) and
+# (4, 15, 2) as the process's VmHWM growth over the solve, Python 3.11), so
+# 5M units at up to ~400 bytes each keeps a solve at the ceiling near 2 GB.
+DEFAULT_STATE_CEILING = 5_000_000
 DEFAULT_BRUTE_CEILING = 100_000_000
 
 
@@ -40,7 +45,7 @@ class Policy:
 
     k: int
     n: int
-    budget: int
+    budgets: tuple[int, ...]  # the start budgets it serves
     stages: dict[int, dict[TeacherState, Action]]
 
     def action_for(self, state: TeacherState) -> Action:
@@ -49,7 +54,7 @@ class Policy:
         except KeyError:
             raise KeyError(
                 f"state {state} not covered by the policy; it was solved for "
-                f"k={self.k}, n={self.n}, budget={self.budget}"
+                f"k={self.k}, n={self.n}, budgets={self.budgets}"
             ) from None
 
 
@@ -59,7 +64,7 @@ class ValueTable:
 
     k: int
     n: int
-    budget: int
+    budgets: tuple[int, ...]  # the start budgets it serves
     stages: dict[int, dict[TeacherState, float]]
 
 
@@ -71,12 +76,12 @@ def value_at(table: ValueTable, state: TeacherState) -> float:
 
 
 def root_value(table: ValueTable, spec: MdpSpec) -> float:
-    """Optimal expected reward before the first observation arrives."""
+    """Optimal expected reward before the first observation, at ``spec.budget``."""
     return sum(p * value_at(table, s) for s, p in initial_states(spec))
 
 
 def solve(
-    spec: MdpSpec, ceiling: int = DEFAULT_STATE_CEILING
+    spec: MdpSpec, ceiling: int = DEFAULT_STATE_CEILING, starts: Iterable[int] | None = None
 ) -> tuple[Policy, ValueTable]:
     """Exact optimal policy and value function by backward induction.
 
@@ -87,7 +92,16 @@ def solve(
     final count vector. Ties break toward keeping, then toward the
     smallest change target; improvements must be strict, which makes the
     tie-breaking exact (equal subtrees yield bit-equal values).
+
+    The forward pass starts from every budget in ``starts`` (each in
+    0..``spec.budget``; default ``spec.budget`` alone). W(counts, budget)
+    does not depend on the start, and each pair is valued from the same
+    successors in the same order, so values match a one-start solve bit
+    for bit.
     """
+    starts = (spec.budget,) if starts is None else tuple(sorted(set(starts)))
+    if not all(0 <= b <= spec.budget for b in starts):
+        raise ValueError(f"start budgets {starts} must lie in 0..{spec.budget}")
     bound = state_count_bound(spec.k, spec.n, spec.budget)
     if bound > ceiling:
         raise CeilingExceededError(
@@ -96,7 +110,7 @@ def solve(
         )
 
     # pairs[t]: post-decision (counts, budget) after the decision at stage t
-    pairs: list[set[tuple[tuple[int, ...], int]]] = [{((0,) * spec.k, spec.budget)}]
+    pairs: list[set[tuple[tuple[int, ...], int]]] = [{((0,) * spec.k, b) for b in starts}]
     for _ in range(spec.n):
         pairs.append({
             apply_action(state, action)
@@ -136,8 +150,8 @@ def solve(
         ahead = behind
 
     return (
-        Policy(spec.k, spec.n, spec.budget, actions),
-        ValueTable(spec.k, spec.n, spec.budget, values),
+        Policy(spec.k, spec.n, starts, actions),
+        ValueTable(spec.k, spec.n, starts, values),
     )
 
 

@@ -24,7 +24,7 @@ from .bounds import BoundReport, monte_carlo_report
 from .core import Categorical, Seed, counts_from_sequence, empirical_estimate, l1_error, sample_sequence
 from .likelihood import CandidateSet, default_candidates, misclassification_experiment
 from .mdp import l1_terminal_reward
-from .teacher import replays
+from .teacher import per_final_counts, replays
 
 Row = dict[str, Any]  # one output row: column name -> value, in column order
 
@@ -142,9 +142,13 @@ class ExperimentConfig:
         for name, default in defaults.items():
             if getattr(self, name) is None:
                 object.__setattr__(self, name, default)
-        for name in ("n_values", "budgets", "m_values"):
-            if getattr(self, name) == ():
+        for name, least in (("n_values", 1), ("budgets", 0), ("m_values", 1)):
+            values = getattr(self, name)
+            if values == ():
                 raise ConfigError(f"config field {name!r} must not be empty")
+            if values is not None and min(values) < least:
+                raise ConfigError(f"config field {name!r} entries must be at least {least}, "
+                                  f"got {values!r}")
         if self.fmt not in ("csv", "json"):
             raise ConfigError(f"unknown output format {self.fmt!r}")
         if self.trials < 1:
@@ -226,17 +230,19 @@ def _run_correction_records(config: ExperimentConfig, with_attainable: bool) -> 
     originals = [counts_from_sequence(seq) for seq in sequences]
     estimates = [empirical_estimate(counts) for counts in originals]
     rows = []
-    for budget, traces in replays(sequences, theta0, l1_terminal_reward(theta0), config.budgets):
-        for trial, (trace, original, estimate) in enumerate(zip(traces, originals, estimates)):
+    for budget, counts, spent in replays(sequences, theta0, l1_terminal_reward(theta0),
+                                         config.budgets):
+        online = per_final_counts(lambda c: l1_error(empirical_estimate(c), theta0), counts, n)
+        for trial, (original, estimate) in enumerate(zip(originals, estimates)):
             record = ExperimentRecord(
                 experiment=config.experiment,
                 seed=config.seed,
                 trial=trial,
                 budget=budget,
                 error_original=l1_error(estimate, theta0),
-                error_online=l1_error(empirical_estimate(trace.counts), theta0),
+                error_online=online[trial],
                 error_batch=batch_correct(original, theta0, budget).error,
-                budget_spent=trace.budget_spent,
+                budget_spent=int(spent[trial]),
                 error_attainable=(
                     attainable_error(n, theta0, budget, estimate)
                     if with_attainable else None
@@ -275,8 +281,8 @@ def run_variance_sweep(config: ExperimentConfig) -> list[Row]:
         sequences = [
             sample_sequence(theta0, n, seed.spawn(n, t)) for t in range(config.trials)
         ]
-        for budget, traces in replays(sequences, theta0, reward, config.budgets):
-            estimates = np.array([empirical_estimate(t.counts).probs for t in traces])
+        for budget, counts, _ in replays(sequences, theta0, reward, config.budgets):
+            estimates = np.array(per_final_counts(lambda c: empirical_estimate(c).probs, counts, n))
             per_coord = estimates.var(axis=0, ddof=1)
             rows.append({
                 "n": n, "budget": budget, "trials": config.trials,

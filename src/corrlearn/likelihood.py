@@ -21,7 +21,7 @@ from pathlib import Path
 
 from .core import Categorical, CountVector, Seed, sample_sequence
 from .mdp import TerminalReward
-from .teacher import replays
+from .teacher import per_final_counts, replays
 
 CANDIDATE_FILE_VERSION = 1
 
@@ -173,7 +173,7 @@ def misclassification_experiment(
         sample_sequence(true_dist, n, seed.spawn(trial)) for trial in range(trials)
     ]
     rates: dict[int, float] = {}
-    for budget, traces in replays(sequences, true_dist, reward, budgets):
-        wrong = sum(ml_estimate(t.counts, candidates) != theta0_label for t in traces)
-        rates[budget] = wrong / trials
+    for budget, counts, _ in replays(sequences, true_dist, reward, budgets):
+        labels = per_final_counts(lambda c: ml_estimate(c, candidates), counts, n)
+        rates[budget] = sum(label != theta0_label for label in labels) / trials
     return rates

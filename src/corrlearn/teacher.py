@@ -4,15 +4,17 @@ expected error.
 A replay feeds the policy states built from CORRECTED counts: the student
 only ever sees what the teacher lets through, so the sufficient statistic
 tracks the altered stream, with the current raw observation tallied on
-top. ``replays`` is the one path from a source model to corrected streams.
+top. ``replays`` is the one path from a source model to corrected streams;
+it and ``run_online`` share one replay that runs all streams at once.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import repeat
-from typing import Iterable, Iterator, Protocol, Sequence
+from typing import Any, Callable, Iterable, Iterator, Protocol, Sequence
+
+import numpy as np
 
 from .core import Categorical, CountVector, ObservationSequence
 from .dp import solve
@@ -39,37 +41,58 @@ class OnlineTrace:
 
 
 def _check_policy(policy: TeacherPolicy, k: int, n: int, budget: int) -> None:
-    expected = (getattr(policy, "k", None), getattr(policy, "n", None),
-                getattr(policy, "budget", None))
-    if expected[0] not in (None, k) or expected[1] not in (None, n) \
-            or expected[2] not in (None, budget):
+    solved = (getattr(policy, "k", None), getattr(policy, "n", None),
+              getattr(policy, "budgets", None))
+    if solved[0] not in (None, k) or solved[1] not in (None, n) \
+            or not (solved[2] is None or budget in solved[2]):
         raise ValueError(
-            f"policy solved for (k, n, budget)={expected}, "
+            f"policy solved for (k, n, budgets)={solved}, "
             f"replay asked for ({k}, {n}, {budget})"
         )
+
+
+def _distinct_rows(rows: np.ndarray) -> tuple[dict[tuple[int, ...], int], list[int]]:
+    """The distinct rows of a 2-D int array, in first-seen order, and the
+    position of each row among them."""
+    index: dict[tuple[int, ...], int] = {}
+    which = [index.setdefault(row, len(index)) for row in map(tuple, rows.tolist())]
+    return index, which
+
+
+def replay_all(
+    streams: np.ndarray, k: int, policy: TeacherPolicy, budget: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Replay the rows of ``streams`` (trials x n) stage by stage, asking
+    ``policy`` once per distinct (counts, remaining, observation) state
+    among them. Returns the corrected streams, the final counts (trials x
+    k) and the budget each trial spent."""
+    trials, n = streams.shape
+    _check_policy(policy, k, n, budget)
+    corrected = np.empty_like(streams)
+    counts = np.zeros((trials, k), dtype=np.int64)
+    remaining = np.full(trials, budget, dtype=np.int64)
+    for t in range(n):
+        counts[np.arange(trials), streams[:, t]] += 1
+        states, which = _distinct_rows(np.column_stack((counts, remaining, streams[:, t])))
+        decided = []
+        for *arrived, left, y in states:
+            state = TeacherState(tuple(arrived), left, y)
+            action = policy.action_for(state)
+            after, left_after = apply_action(state, action)
+            decided.append((*after, left_after, action.target))
+        decided = np.array(decided)[which]
+        counts, remaining, corrected[:, t] = decided[:, :k], decided[:, k], decided[:, k + 1]
+    return corrected, counts, budget - remaining
 
 
 def run_online(
     seq: ObservationSequence, policy: TeacherPolicy, budget: int
 ) -> OnlineTrace:
-    """Replay ``seq`` through ``policy``, spending at most ``budget`` changes."""
-    if budget < 0:
-        raise ValueError("budget must be nonnegative")
-    _check_policy(policy, seq.k, len(seq), budget)
-    counts, remaining = (0,) * seq.k, budget
-    corrected: list[int] = []
-    for y in seq.values:
-        arrived = list(counts)
-        arrived[y] += 1
-        state = TeacherState(tuple(arrived), remaining, y)
-        action = policy.action_for(state)
-        counts, remaining = apply_action(state, action)
-        corrected.append(action.target)
-    return OnlineTrace(
-        corrected=ObservationSequence(tuple(corrected), seq.k),
-        counts=CountVector(counts, len(seq)),
-        budget_spent=budget - remaining,
-    )
+    """Replay ``seq`` through ``policy``, spending at most ``budget`` changes:
+    the all-trials replay over one stream."""
+    corrected, counts, spent = replay_all(np.array([seq.values]), seq.k, policy, budget)
+    return OnlineTrace(ObservationSequence(tuple(corrected[0].tolist()), seq.k),
+                       CountVector(tuple(counts[0].tolist()), len(seq)), int(spent[0]))
 
 
 def replays(
@@ -77,19 +100,29 @@ def replays(
     model: Categorical,
     reward: TerminalReward,
     budgets: Iterable[int],
-) -> Iterator[tuple[int, Iterator[OnlineTrace]]]:
-    """Yield ``(budget, traces)`` per budget: one solve for (``model``,
-    ``reward``, budget) at the streams' length, replayed on every stream.
-
-    ``traces`` is lazy. Consume a budget's traces before asking for the
-    next budget, so that one budget's policy and traces are held at a time.
+) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+    """Yield ``(budget, counts, budget_spent)`` per budget, in the order
+    given: the final corrected counts (trials x k) and the budget spent per
+    trial. One solve, started from every budget, serves them all.
     """
     if not sequences:
         raise ValueError("no sequences to replay")
-    n = len(sequences[0])
+    streams = np.array([seq.values for seq in sequences])
+    budgets = tuple(budgets)
+    spec = MdpSpec(k=model.k, n=streams.shape[1], budget=max(budgets, default=0),
+                   model=model, reward=reward)
+    policy, _ = solve(spec, starts=budgets)
     for budget in budgets:
-        policy, _ = solve(MdpSpec(k=model.k, n=n, budget=budget, model=model, reward=reward))
-        yield budget, map(run_online, sequences, repeat(policy), repeat(budget))
+        _, counts, spent = replay_all(streams, model.k, policy, budget)
+        yield budget, counts, spent
+
+
+def per_final_counts(f: Callable[[CountVector], Any], counts: np.ndarray, n: int) -> list:
+    """``f`` of each row of a replay's (trials x k) final counts, in trial
+    order, evaluated once per distinct row."""
+    distinct, which = _distinct_rows(counts)
+    values = [f(CountVector(row, n)) for row in distinct]
+    return [values[i] for i in which]
 
 
 @dataclass(frozen=True)

@@ -35,4 +35,3 @@ def test_tracer_covers_the_package():
     assert out["code"] == 0
     assert out["missing"] == []
     assert out["calls"]["dp.solve"] == 1
-    assert out["calls"]["teacher.run_online"] == 3

@@ -3,6 +3,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from corrlearn.core import Categorical
 from corrlearn.dp import (
@@ -23,6 +25,7 @@ from corrlearn.mdp import (
     terminal_value,
     transitions,
 )
+from corrlearn.likelihood import bio_terminal_reward, default_candidates
 from test_mdp import reachable_states
 
 
@@ -266,6 +269,55 @@ class TestPolicyAndTable:
         spec = spec_for(Categorical((0.5, 0.5)), 10, 1)
         with pytest.raises(CeilingExceededError, match="state bound"):
             solve(spec, ceiling=10)
+
+
+def bio_spec(n, budget):
+    candidates = default_candidates()
+    return MdpSpec(k=4, n=n, budget=budget, model=candidates.by_label(4).action_dist,
+                   reward=bio_terminal_reward(4, candidates))
+
+
+class TestSharedSolve:
+    """One solve seeded with several start budgets against one solve per
+    budget: same actions and bit-equal values on every state."""
+
+    @pytest.mark.parametrize("spec_at", [
+        lambda b: spec_for(Categorical((0.4, 0.3, 0.3)), 6, b),
+        lambda b: spec_for(Categorical((0.5, 0.5, 0.0)), 6, b),
+        lambda b: bio_spec(5, b),
+    ], ids=["three-value", "zero-probability", "bio"])
+    def test_matches_a_solve_per_budget(self, spec_at):
+        budgets = (0, 1, 2, 3)
+        shared_policy, shared_table = solve(spec_at(3), starts=budgets)
+        assert shared_policy.budgets == shared_table.budgets == budgets
+        covered: dict[int, set] = {}
+        for budget in budgets:
+            policy, table = solve(spec_at(budget))
+            for stage, actions in policy.stages.items():
+                covered.setdefault(stage, set()).update(actions)
+                for state, action in actions.items():
+                    assert shared_policy.action_for(state) == action
+                    assert value_at(shared_table, state) == value_at(table, state)
+            assert root_value(shared_table, spec_at(budget)) == root_value(table, spec_at(budget))
+        assert {stage: set(states) for stage, states in shared_policy.stages.items()} == covered
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        probs=st.sampled_from([(0.5, 0.5), (0.7, 0.3), (0.4, 0.3, 0.3), (0.6, 0.4, 0.0)]),
+        n=st.integers(1, 7),
+        top=st.integers(0, 4),
+    )
+    def test_root_value_never_falls_as_the_start_budget_grows(self, probs, n, top):
+        theta = Categorical(probs)
+        _, table = solve(spec_for(theta, n, top), starts=range(top + 1))
+        roots = [root_value(table, spec_for(theta, n, b)) for b in range(top + 1)]
+        assert roots == sorted(roots)
+
+    @pytest.mark.parametrize("starts", [(3,), (0, -1)])
+    def test_start_budgets_outside_the_spec_rejected(self, starts):
+        spec = spec_for(Categorical((0.5, 0.5)), 3, 2)
+        with pytest.raises(ValueError, match="start budgets"):
+            solve(spec, starts=starts)
 
 
 class TestPolicyDump:

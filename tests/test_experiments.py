@@ -3,11 +3,12 @@ import json
 
 import pytest
 
-from corrlearn import cli, experiments, teacher
+from corrlearn import cli, dp, experiments, teacher
 from corrlearn.batch import e_min
 from corrlearn.core import Categorical
-from corrlearn.dp import Policy
+from corrlearn.dp import DEFAULT_STATE_CEILING, Policy
 from corrlearn.experiments import (
+    EXPERIMENTS,
     ConfigError,
     ExperimentConfig,
     ExperimentRecord,
@@ -21,6 +22,7 @@ from corrlearn.experiments import (
     run_variance_sweep,
 )
 from corrlearn.likelihood import default_candidates
+from corrlearn.mdp import state_count_bound
 
 
 MULTINOMIAL_HEADER = (
@@ -321,6 +323,32 @@ class TestCli:
         assert cli.main([experiment, "--seed", "1", "--config", str(path)]) == 2
         assert f"config field {field!r} must not be empty" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("experiment,field,bad", [
+        *[(name, "n_values", [3, 0]) for name in EXPERIMENTS],
+        *[(name, "budgets", [1, -1]) for name in EXPERIMENTS],
+        ("bounds", "m_values", [1, 0]),
+    ])
+    def test_out_of_range_grid_entry_exits_2(self, tmp_path, capsys, experiment, field, bad):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({field: bad}))
+        assert cli.main([experiment, "--seed", "1", "--config", str(path)]) == 2
+        least = 0 if field == "budgets" else 1
+        assert (f"config field {field!r} entries must be at least {least}, got {tuple(bad)!r}"
+                in capsys.readouterr().err)
+
+    def test_state_bound_just_over_the_ceiling_exits_3_before_solving(self, monkeypatch, capsys):
+        # k=3, budget 1: n=168 stays under the ceiling and n=169 passes it
+        assert state_count_bound(3, 168, 1) <= DEFAULT_STATE_CEILING < state_count_bound(3, 169, 1)
+
+        def forward_pass(*args):
+            raise AssertionError("the forward pass ran")
+
+        monkeypatch.setattr(dp, "arrivals", forward_pass)
+        argv = ["variance", "--seed", "1", "--trials", "2", "--n-values", "169",
+                "--budgets", "0,1"]
+        assert cli.main(argv) == 3
+        assert "exceeds the ceiling" in capsys.readouterr().err
+
     def test_variance_with_one_trial_exits_2(self, capsys):
         argv = ["variance", "--seed", "1", "--n-values", "4", "--budgets", "0", "--trials", "1"]
         assert cli.main(argv) == 2
@@ -356,8 +384,8 @@ class TestCli:
 
     def test_uncovered_replay_state_exit_4(self, monkeypatch, capsys):
         # a policy missing the states a replay reaches is a bug, not bad input
-        def empty_policy(spec):
-            return Policy(spec.k, spec.n, spec.budget, {}), None
+        def empty_policy(spec, starts):
+            return Policy(spec.k, spec.n, tuple(starts), {}), None
 
         monkeypatch.setattr(teacher, "solve", empty_policy)
         assert cli.main(["multinomial", "--seed", "1", "--trials", "2"]) == 4

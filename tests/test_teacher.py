@@ -2,11 +2,16 @@ import itertools
 import math
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from corrlearn import teacher
 from corrlearn.batch import attainable_error, batch_correct
 from corrlearn.core import (
     Categorical,
+    CountVector,
     ObservationSequence,
     Seed,
     counts_from_sequence,
@@ -20,19 +25,26 @@ from corrlearn.mdp import (
     BudgetExhaustedError,
     MdpSpec,
     TeacherState,
+    apply_action,
     l1_terminal_reward,
 )
 from corrlearn.teacher import (
     BinomialThresholdPolicy,
+    OnlineTrace,
     expected_online_error,
+    replay_all,
     replays,
     run_online,
 )
 
 
-def solved_policy(theta, n, budget):
-    spec = MdpSpec(k=theta.k, n=n, budget=budget, model=theta,
+def spec_for(theta, n, budget):
+    return MdpSpec(k=theta.k, n=n, budget=budget, model=theta,
                    reward=l1_terminal_reward(theta))
+
+
+def solved_policy(theta, n, budget):
+    spec = spec_for(theta, n, budget)
     policy, table = solve(spec)
     return policy, root_value(table, spec)
 
@@ -40,6 +52,11 @@ def solved_policy(theta, n, budget):
 def online_error(seq, policy, budget, theta):
     trace = run_online(seq, policy, budget)
     return l1_error(empirical_estimate(trace.counts), theta)
+
+
+def stream_replay_trace(seq, policy, budget):
+    corrected, counts, spent = stream_replay(seq, policy, budget)
+    return OnlineTrace(ObservationSequence(corrected, seq.k), CountVector(counts, len(seq)), spent)
 
 
 def enumerated_online_error(policy, model, n, budget):
@@ -87,10 +104,6 @@ class TestRunOnline:
             assert trace.counts == counts_from_sequence(trace.corrected)
 
     def test_change_with_no_budget_left_raises(self):
-        class AlwaysFlip:
-            def action_for(self, state):
-                return Action(1 - state.last_obs)
-
         seq = ObservationSequence((0, 1, 1), 2)
         with pytest.raises(BudgetExhaustedError):
             run_online(seq, AlwaysFlip(), 2)
@@ -111,6 +124,17 @@ class TestRunOnline:
             run_online(seq, policy, 2)
         with pytest.raises(ValueError, match="solved for"):
             run_online(sample_sequence(theta, 5, Seed(3)), policy, 1)
+
+    def test_shared_policy_serves_exactly_its_start_budgets(self):
+        theta = Categorical((0.5, 0.5))
+        policy, _ = solve(spec_for(theta, 4, 3), starts=(3, 0))
+        assert policy.budgets == (0, 3)
+        seq = sample_sequence(theta, 4, Seed(3))
+        for budget in (0, 3):
+            assert run_online(seq, policy, budget) == stream_replay_trace(seq, policy, budget)
+        for budget in (1, 2, 4):
+            with pytest.raises(ValueError, match="solved for"):
+                run_online(seq, policy, budget)
 
 
 class TestBinomialPolicyAction:
@@ -250,16 +274,118 @@ class TestExpectedOnlineError:
             expected_online_error(policy, theta, 5, 1)
 
 
+def stream_replay(seq, policy, budget):
+    """Oracle for the all-trials replay: one stream, one state at a time."""
+    counts, remaining, corrected = (0,) * seq.k, budget, []
+    for y in seq.values:
+        arrived = list(counts)
+        arrived[y] += 1
+        state = TeacherState(tuple(arrived), remaining, y)
+        action = policy.action_for(state)
+        counts, remaining = apply_action(state, action)
+        corrected.append(action.target)
+    return tuple(corrected), counts, budget - remaining
+
+
+class LeanToZero:
+    """Hand-written policy: change a 1 to 0 whenever budget is left and
+    zeros trail ones in the counts so far."""
+
+    def action_for(self, state):
+        if state.budget and state.last_obs == 1 and state.counts[0] < state.counts[1]:
+            return Action(0)
+        return Action(state.last_obs)
+
+
+class AlwaysFlip:
+    def action_for(self, state):
+        return Action(1 - state.last_obs)
+
+
+def streams_of(sequences):
+    return np.array([seq.values for seq in sequences])
+
+
+class TestReplayAll:
+    @pytest.mark.parametrize("budget", [0, 1, 3])
+    def test_matches_stream_by_stream_replay(self, budget):
+        theta = Categorical((0.5, 0.5))
+        sequences = [ObservationSequence(v, 2) for v in itertools.product(range(2), repeat=7)]
+        for policy in (BinomialThresholdPolicy(theta, 7), LeanToZero()):
+            corrected, counts, spent = replay_all(streams_of(sequences), 2, policy, budget)
+            for seq, row, final, used in zip(sequences, corrected, counts, spent):
+                assert (tuple(row), tuple(final), used) == stream_replay(seq, policy, budget)
+
+    def test_overspending_policy_raises_inside_a_batch(self):
+        sequences = [ObservationSequence(v, 2) for v in ((0, 1, 1), (1, 1, 0), (0, 0, 0))]
+        with pytest.raises(BudgetExhaustedError):
+            replay_all(streams_of(sequences), 2, AlwaysFlip(), 2)
+
+    def test_asks_the_policy_once_per_distinct_state(self):
+        asked = []
+
+        class Recording(LeanToZero):
+            def action_for(self, state):
+                asked.append(state)
+                return super().action_for(state)
+
+        # 18 replay steps, three distinct states per stream
+        sequences = [ObservationSequence((0, 1, 1), 2)] * 5 + [ObservationSequence((1, 1, 0), 2)]
+        replay_all(streams_of(sequences), 2, Recording(), 1)
+        assert len(asked) == len(set(asked)) == 6
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        probs=st.sampled_from([(0.5, 0.5), (0.8, 0.2), (0.4, 0.3, 0.3), (0.5, 0.5, 0.0)]),
+        n=st.integers(1, 6),
+        budgets=st.lists(st.integers(0, 3), min_size=1, max_size=3),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_replays_spend_within_budget_and_keep_n_draws(self, probs, n, budgets, seed):
+        theta = Categorical(probs)
+        sequences = [sample_sequence(theta, n, Seed(seed).spawn(t)) for t in range(8)]
+        streams = streams_of(sequences)
+        policy, _ = solve(spec_for(theta, n, max(budgets)), starts=budgets)
+        for budget in budgets:
+            corrected, counts, spent = replay_all(streams, theta.k, policy, budget)
+            assert (spent <= budget).all()
+            assert (spent == (corrected != streams).sum(axis=1)).all()
+            assert (counts.sum(axis=1) == n).all()
+            tallies = [counts_from_sequence(ObservationSequence(row, theta.k)).counts
+                       for row in corrected.tolist()]
+            assert tallies == [tuple(row) for row in counts.tolist()]
+
+
 class TestReplays:
-    def test_one_solve_per_budget_and_same_traces_as_run_online(self):
+    @pytest.mark.parametrize("budgets", [(0, 2, 1), (1, 1)])
+    def test_matches_per_budget_solve_and_per_stream_replay(self, budgets):
         theta = Categorical((0.4, 0.3, 0.3))
         sequences = [sample_sequence(theta, 5, Seed(77).spawn(t)) for t in range(10)]
         seen = []
-        for budget, traces in replays(sequences, theta, l1_terminal_reward(theta), (0, 2, 1)):
+        for budget, counts, spent in replays(
+            sequences, theta, l1_terminal_reward(theta), budgets
+        ):
             policy, _ = solved_policy(theta, 5, budget)
-            assert list(traces) == [run_online(seq, policy, budget) for seq in sequences]
+            oracle = [stream_replay(seq, policy, budget) for seq in sequences]
+            assert [tuple(row) for row in counts.tolist()] == [c for _, c, _ in oracle]
+            assert spent.tolist() == [b for _, _, b in oracle]
             seen.append(budget)
-        assert seen == [0, 2, 1]
+        assert seen == list(budgets)
+
+    def test_one_solve_serves_every_budget(self, monkeypatch):
+        calls = []
+
+        def counted(spec, **kwargs):
+            calls.append((spec.budget, kwargs))
+            return solve(spec, **kwargs)
+
+        monkeypatch.setattr(teacher, "solve", counted)
+        theta = Categorical((0.5, 0.5))
+        sequences = [sample_sequence(theta, 4, Seed(5).spawn(t)) for t in range(3)]
+        budgets = [budget for budget, _, _ in replays(
+            sequences, theta, l1_terminal_reward(theta), (2, 0, 2))]
+        assert budgets == [2, 0, 2]
+        assert calls == [(2, {"starts": (2, 0, 2)})]
 
     def test_no_sequences_rejected(self):
         theta = Categorical((0.5, 0.5))
