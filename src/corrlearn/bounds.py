@@ -10,8 +10,12 @@ A ratio-form bound (6M/(5M+1)) exp(.) also circulates; its derivation
 normalises by a per-draw variance of (5M^2+M)/6, which overstates the
 true Unif{0..M} variance M(M+2)/12. The ratio bound is therefore reported
 for reference but never asserted; ``uniform_variance`` returns both
-constants so the discrepancy stays visible. ``monte_carlo_report``
-returns a ``BoundReport``; the ``bounds`` experiment lays out its columns.
+constants so the discrepancy stays visible. Exact variances (Y's pmf by
+convolution) show it still holds for N <= 40, M in {1,2,3,4,6,8},
+B <= min(NM, 30): the ratio meets it only at B=0, M=1, where nothing
+moves, and stays below 0.775 of it for B >= 1, so only Monte-Carlo noise
+can put the empirical ratio above it. ``monte_carlo_report`` returns a
+``BoundReport``; the ``bounds`` experiment lays out its columns.
 """
 
 from __future__ import annotations

@@ -79,10 +79,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         if args.command == "solve":
             theta0 = Categorical(args.theta0)
-            spec = MdpSpec(k=theta0.k, n=args.n, budget=args.budget,
-                           model=theta0, reward=l1_terminal_reward(theta0))
-            policy, _ = solve(spec)
-            write_output(policy_dump(policy), args.out)
+            spec = MdpSpec(n=args.n, model=theta0, reward=l1_terminal_reward(theta0))
+            write_output(policy_dump(solve(spec, (args.budget,))), args.out)
             return EXIT_OK
         config = _experiment_config(args)
         text = run_and_format(config)

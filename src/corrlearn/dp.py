@@ -4,8 +4,8 @@ Post-decision form: a forward pass collects, per stage, the (counts,
 budget) pairs left by every feasible decision; the backward pass values
 each pair once, W(counts, budget), as the expectation over the next
 observation's arrivals. ``brute_force_value`` is the independent check:
-an unmemoised expectimax recursion over every observation outcome and
-every feasible action.
+an unmemoised expectimax recursion over the same pairs, through every
+observation outcome and every feasible action.
 """
 
 from __future__ import annotations
@@ -21,10 +21,7 @@ from .mdp import (
     apply_action,
     arrivals,
     feasible_actions,
-    initial_states,
     state_count_bound,
-    terminal_value,
-    transitions,
 )
 
 # A solve's peak RSS grows by 300-345 bytes per unit of ``state_count_bound``
@@ -41,12 +38,14 @@ class CeilingExceededError(RuntimeError):
 
 @dataclass(frozen=True)
 class Policy:
-    """Per-stage map from reachable state to the chosen action."""
+    """Per-stage maps from reachable state to the chosen action and to its
+    optimal expected reward."""
 
     k: int
     n: int
     budgets: tuple[int, ...]  # the start budgets it serves
     stages: dict[int, dict[TeacherState, Action]]
+    values: dict[int, dict[TeacherState, float]]
 
     def action_for(self, state: TeacherState) -> Action:
         try:
@@ -58,31 +57,21 @@ class Policy:
             ) from None
 
 
-@dataclass(frozen=True)
-class ValueTable:
-    """Per-stage map from reachable state to optimal expected reward."""
-
-    k: int
-    n: int
-    budgets: tuple[int, ...]  # the start budgets it serves
-    stages: dict[int, dict[TeacherState, float]]
-
-
-def value_at(table: ValueTable, state: TeacherState) -> float:
+def value_at(policy: Policy, state: TeacherState) -> float:
     try:
-        return table.stages[state.stage][state]
+        return policy.values[state.stage][state]
     except KeyError:
         raise KeyError(f"state {state} not present in the value table") from None
 
 
-def root_value(table: ValueTable, spec: MdpSpec) -> float:
-    """Optimal expected reward before the first observation, at ``spec.budget``."""
-    return sum(p * value_at(table, s) for s, p in initial_states(spec))
+def root_value(policy: Policy, spec: MdpSpec, budget: int) -> float:
+    """Optimal expected reward before the first observation, at ``budget``."""
+    return sum(p * value_at(policy, s) for s, p in arrivals((0,) * spec.k, budget, spec))
 
 
 def solve(
-    spec: MdpSpec, ceiling: int = DEFAULT_STATE_CEILING, starts: Iterable[int] | None = None
-) -> tuple[Policy, ValueTable]:
+    spec: MdpSpec, budgets: Iterable[int], ceiling: int = DEFAULT_STATE_CEILING
+) -> Policy:
     """Exact optimal policy and value function by backward induction.
 
     Reachability is taken under all feasible actions, not just optimal
@@ -93,24 +82,25 @@ def solve(
     smallest change target; improvements must be strict, which makes the
     tie-breaking exact (equal subtrees yield bit-equal values).
 
-    The forward pass starts from every budget in ``starts`` (each in
-    0..``spec.budget``; default ``spec.budget`` alone). W(counts, budget)
-    does not depend on the start, and each pair is valued from the same
-    successors in the same order, so values match a one-start solve bit
-    for bit.
+    The forward pass starts from every one of ``budgets``. W(counts,
+    budget) does not depend on the start, and each pair is valued from the
+    same successors in the same order, so values match a one-start solve
+    bit for bit.
     """
-    starts = (spec.budget,) if starts is None else tuple(sorted(set(starts)))
-    if not all(0 <= b <= spec.budget for b in starts):
-        raise ValueError(f"start budgets {starts} must lie in 0..{spec.budget}")
-    bound = state_count_bound(spec.k, spec.n, spec.budget)
+    budgets = tuple(sorted(set(budgets)))
+    if not budgets:
+        raise ValueError("no start budgets to solve for")
+    if budgets[0] < 0:
+        raise ValueError("budget must be nonnegative")
+    bound = state_count_bound(spec.k, spec.n, budgets[-1])
     if bound > ceiling:
         raise CeilingExceededError(
             f"state bound {bound} exceeds the ceiling {ceiling} "
-            f"for k={spec.k}, n={spec.n}, budget={spec.budget}"
+            f"for k={spec.k}, n={spec.n}, budget={budgets[-1]}"
         )
 
     # pairs[t]: post-decision (counts, budget) after the decision at stage t
-    pairs: list[set[tuple[tuple[int, ...], int]]] = [{((0,) * spec.k, b) for b in starts}]
+    pairs: list[set[tuple[tuple[int, ...], int]]] = [{((0,) * spec.k, b) for b in budgets}]
     for _ in range(spec.n):
         pairs.append({
             apply_action(state, action)
@@ -149,14 +139,14 @@ def solve(
         actions[stage] = stage_actions
         ahead = behind
 
-    return (
-        Policy(spec.k, spec.n, starts, actions),
-        ValueTable(spec.k, spec.n, starts, values),
-    )
+    return Policy(spec.k, spec.n, budgets, actions, values)
 
 
-def brute_force_value(spec: MdpSpec, ceiling: int = DEFAULT_BRUTE_CEILING) -> float:
-    """Optimal expected reward by raw recursion, for cross-checking ``solve``.
+def brute_force_value(
+    spec: MdpSpec, budget: int, ceiling: int = DEFAULT_BRUTE_CEILING
+) -> float:
+    """Optimal expected reward at ``budget`` by raw recursion over
+    post-decision pairs, for cross-checking ``solve``.
 
     No memoisation on purpose: the recursion shares nothing with the
     backward-induction code path beyond the transition rules themselves.
@@ -167,17 +157,15 @@ def brute_force_value(spec: MdpSpec, ceiling: int = DEFAULT_BRUTE_CEILING) -> fl
             f"recursion size {paths} exceeds the ceiling {ceiling}"
         )
 
-    def best(state: TeacherState) -> float:
-        out = float("-inf")
-        for action in feasible_actions(state, spec.k):
-            if state.stage == spec.n:
-                value = terminal_value(state, action, spec)
-            else:
-                value = sum(p * best(s) for s, p in transitions(state, action, spec))
-            out = max(out, value)
-        return out
+    def value(counts: tuple[int, ...], left: int) -> float:
+        if sum(counts) == spec.n:
+            return spec.reward.evaluate(CountVector(counts, spec.n))
+        return sum(
+            p * max(value(*apply_action(s, a)) for a in feasible_actions(s, spec.k))
+            for s, p in arrivals(counts, left, spec)
+        )
 
-    return sum(p * best(s) for s, p in initial_states(spec))
+    return value((0,) * spec.k, budget)
 
 
 def policy_dump(policy: Policy) -> str:

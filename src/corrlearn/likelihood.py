@@ -21,7 +21,7 @@ from pathlib import Path
 
 from .core import Categorical, CountVector, Seed, sample_sequence
 from .mdp import TerminalReward
-from .teacher import per_final_counts, replays
+from .teacher import per_distinct_counts, replays
 
 CANDIDATE_FILE_VERSION = 1
 
@@ -174,6 +174,6 @@ def misclassification_experiment(
     ]
     rates: dict[int, float] = {}
     for budget, counts, _ in replays(sequences, true_dist, reward, budgets):
-        labels = per_final_counts(lambda c: ml_estimate(c, candidates), counts, n)
+        labels = per_distinct_counts(lambda c: ml_estimate(c, candidates), counts, n)
         rates[budget] = sum(label != theta0_label for label in labels) / trials
     return rates

@@ -62,21 +62,15 @@ def l1_terminal_reward(theta0: Categorical) -> TerminalReward:
 
 @dataclass(frozen=True)
 class MdpSpec:
-    k: int
     n: int
-    budget: int
     model: Categorical  # the teacher's source model; theta0 unless misspecified
     reward: TerminalReward = field(compare=False)
+    k: int = field(init=False)  # the model's number of outcomes
 
     def __post_init__(self) -> None:
-        if self.k < 2:
-            raise ValueError("need at least two outcome values")
         if self.n < 1:
             raise ValueError("horizon must be at least 1")
-        if self.budget < 0:
-            raise ValueError("budget must be nonnegative")
-        if self.model.k != self.k:
-            raise ValueError(f"model has {self.model.k} outcomes, spec says {self.k}")
+        object.__setattr__(self, "k", self.model.k)
 
 
 def state_count_bound(k: int, n: int, budget: int | None = None) -> int:
@@ -128,25 +122,3 @@ def arrivals(
         nxt[v] += 1
         out.append((TeacherState(tuple(nxt), budget, v), p))
     return out
-
-
-def transitions(
-    state: TeacherState, action: Action, spec: MdpSpec
-) -> list[tuple[TeacherState, float]]:
-    """Successor distribution: act, then tally one fresh observation."""
-    if state.stage >= spec.n:
-        raise ValueError("no further observations past the horizon")
-    return arrivals(*apply_action(state, action), spec)
-
-
-def terminal_value(state: TeacherState, action: Action, spec: MdpSpec) -> float:
-    """Reward for the final decision, taken on the last observation."""
-    if state.stage != spec.n:
-        raise ValueError("terminal value requested on a non-terminal state")
-    counts, _ = apply_action(state, action)
-    return spec.reward.evaluate(CountVector(counts, spec.n))
-
-
-def initial_states(spec: MdpSpec) -> list[tuple[TeacherState, float]]:
-    """States right after the first observation, with their probabilities."""
-    return arrivals((0,) * spec.k, spec.budget, spec)

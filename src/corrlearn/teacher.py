@@ -109,17 +109,15 @@ def replays(
         raise ValueError("no sequences to replay")
     streams = np.array([seq.values for seq in sequences])
     budgets = tuple(budgets)
-    spec = MdpSpec(k=model.k, n=streams.shape[1], budget=max(budgets, default=0),
-                   model=model, reward=reward)
-    policy, _ = solve(spec, starts=budgets)
+    policy = solve(MdpSpec(n=streams.shape[1], model=model, reward=reward), budgets)
     for budget in budgets:
         _, counts, spent = replay_all(streams, model.k, policy, budget)
         yield budget, counts, spent
 
 
-def per_final_counts(f: Callable[[CountVector], Any], counts: np.ndarray, n: int) -> list:
-    """``f`` of each row of a replay's (trials x k) final counts, in trial
-    order, evaluated once per distinct row."""
+def per_distinct_counts(f: Callable[[CountVector], Any], counts: np.ndarray, n: int) -> list:
+    """``f`` of each row of a (trials x k) count array, such as a replay's
+    final counts, in trial order, evaluated once per distinct row."""
     distinct, which = _distinct_rows(counts)
     values = [f(CountVector(row, n)) for row in distinct]
     return [values[i] for i in which]
@@ -157,8 +155,7 @@ def expected_online_error(
     pairs, not with the k^n streams.
     """
     _check_policy(policy, model.k, n, budget)
-    spec = MdpSpec(k=model.k, n=n, budget=budget, model=model,
-                   reward=l1_terminal_reward(model))
+    spec = MdpSpec(n=n, model=model, reward=l1_terminal_reward(model))
     mass = {((0,) * model.k, budget): 1.0}
     for _ in range(n):
         ahead: dict[tuple[tuple[int, ...], int], float] = {}

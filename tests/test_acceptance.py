@@ -44,9 +44,8 @@ def report(num: int, ok: bool, detail: str) -> None:
     print(f"\ncriterion {num} [{'PASS' if ok else 'FAIL'}] {detail}")
 
 
-def l1_spec(theta: Categorical, n: int, budget: int) -> MdpSpec:
-    return MdpSpec(k=theta.k, n=n, budget=budget, model=theta,
-                   reward=l1_terminal_reward(theta))
+def l1_spec(theta: Categorical, n: int) -> MdpSpec:
+    return MdpSpec(n=n, model=theta, reward=l1_terminal_reward(theta))
 
 
 def _timed(fn):
@@ -77,7 +76,7 @@ def test_criterion_2_binomial_online_optimality():
     start = time.perf_counter()
     worst = 0.0
     for budget in (0, 1, 2):
-        policy, _ = solve(l1_spec(theta, n, budget))
+        policy = solve(l1_spec(theta, n), (budget,))
         for values in itertools.product(range(2), repeat=n):
             seq = ObservationSequence(values, 2)
             floor = attainable_error(
@@ -109,9 +108,9 @@ def test_criterion_3_oracle_equivalence():
         for n in range(1, 6):
             for budget in (0, 1, 2):
                 for theta in thetas[k]:
-                    spec = l1_spec(theta, n, budget)
-                    _, table = solve(spec)
-                    diff = abs(root_value(table, spec) - brute_force_value(spec))
+                    spec = l1_spec(theta, n)
+                    root = root_value(solve(spec, (budget,)), spec, budget)
+                    diff = abs(root - brute_force_value(spec, budget))
                     worst = max(worst, diff)
                     cells += 1
     elapsed = time.perf_counter() - start
@@ -127,9 +126,8 @@ def test_criterion_4_closed_form_policy_value():
     start = time.perf_counter()
     policy = BinomialThresholdPolicy(theta, 10)
     expected = expected_online_error(policy, theta, 10, 1)
-    spec = l1_spec(theta, 10, 1)
-    _, table = solve(spec)
-    diff = abs(-expected - root_value(table, spec))
+    spec = l1_spec(theta, 10)
+    diff = abs(-expected - root_value(solve(spec, (1,)), spec, 1))
     elapsed = time.perf_counter() - start
     ok = diff < 1e-12 and elapsed < 5
     report(4, ok, f"|closed-form E[err] - solver root| = {diff:.2e}, {elapsed:.1f}s")

@@ -1,11 +1,14 @@
 """The benchmark's layer tracer (``benchmarks/layers.py``) still finds
 every function it wraps, so traced runs report work counters instead of
-``missing`` entries after a rename."""
+``missing`` entries after a rename, and its ``dp.solve`` hook still reads
+the spec from ``solve``'s arguments."""
 
 import json
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -18,20 +21,37 @@ tracer.install()
 tracer.check_coverage()
 from corrlearn import cli
 with contextlib.redirect_stdout(io.StringIO()):
-    code = cli.main(["multinomial", "--seed", "1", "--trials", "3"])
+    code = cli.main(json.loads(sys.argv[3]))
 summary = tracer.summary()
 print(json.dumps({"code": code, "missing": summary["missing"],
-                  "calls": {name: s["calls"] for name, s in summary["spans"].items()}}))
+                  "calls": {name: s["calls"] for name, s in summary["spans"].items()},
+                  "counters": summary["counters"]}))
 """
 
 
-def test_tracer_covers_the_package():
+def traced(argv):
     # a fresh interpreter, so the wrapped bindings never reach other tests
     result = subprocess.run(
-        [sys.executable, "-c", SCRIPT, str(ROOT / "src"), str(ROOT / "benchmarks")],
+        [sys.executable, "-c", SCRIPT, str(ROOT / "src"), str(ROOT / "benchmarks"),
+         json.dumps(argv)],
         capture_output=True, text=True, check=True,
     )
-    out = json.loads(result.stdout)
+    return json.loads(result.stdout)
+
+
+def test_tracer_covers_the_package():
+    out = traced(["multinomial", "--seed", "1", "--trials", "3"])
     assert out["code"] == 0
     assert out["missing"] == []
     assert out["calls"]["dp.solve"] == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "--n", "3", "--budget", "1", "--theta0", "0.5,0.5"],
+    ["variance", "--seed", "1", "--trials", "2", "--n-values", "3", "--budgets", "0,1"],
+], ids=["solve", "variance"])
+def test_traced_run_counts_one_solve_key(argv):
+    out = traced(argv)
+    assert out["code"] == 0
+    assert out["missing"] == []
+    assert out["counters"]["dp.solve.keys"] == 1

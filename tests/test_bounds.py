@@ -183,21 +183,32 @@ class TestMonteCarloReport:
 
 
 
-def exact_moments(n, m, b, probs, mu):
-    """Exact (variance, fourth central moment) of Y/n and of the projected
-    sum over n, where Y sums n i.i.d. draws on {0..m} with pmf ``probs``:
-    Y's pmf is the n-fold convolution, and ``project_sum`` maps its support
-    toward n*mu."""
+def sum_pmf(n, probs):
+    """Exact pmf of Y, the sum of n i.i.d. draws with pmf ``probs``: the
+    n-fold convolution."""
     pmf = np.array([1.0])
     for _ in range(n):
         pmf = np.convolve(pmf, probs)
-    support = np.arange(n * m + 1)
-    projected = np.array([project_sum(int(y), n * mu, b, upper=n * m) for y in support])
-    moments = []
-    for values in (support, projected):
-        centred = values / n - pmf @ (values / n)
-        moments.append((float(pmf @ centred**2), float(pmf @ centred**4)))
-    return moments
+    return pmf
+
+
+def central_moments(pmf, values):
+    """(variance, fourth central moment) of ``values`` under ``pmf``."""
+    centred = values - pmf @ values
+    return float(pmf @ centred**2), float(pmf @ centred**4)
+
+
+def projected_support(n, m, b, mu):
+    """``project_sum`` of each value 0..n*m of Y toward n*mu."""
+    return np.array([project_sum(y, n * mu, b, upper=n * m) for y in range(n * m + 1)])
+
+
+def exact_moments(n, m, b, probs, mu):
+    """Exact (variance, fourth central moment) of Y/n and of the projected
+    sum over n, where Y sums n i.i.d. draws on {0..m} with pmf ``probs``."""
+    pmf = sum_pmf(n, probs)
+    return [central_moments(pmf, values / n)
+            for values in (np.arange(n * m + 1), projected_support(n, m, b, mu))]
 
 
 def uniform_exact_moments(n, m, b):
@@ -235,3 +246,22 @@ class TestExactOracle:
         b = data.draw(st.integers(0, min(n * m, 40)))
         (_, _), (var_corr, _) = uniform_exact_moments(n, m, b)
         assert var_corr <= var_bound_abs(n, m, b)
+
+    def test_exact_ratio_within_the_paper_ratio_bound(self):
+        # all 6,460 points with n <= 40, m in {1,2,3,4,6,8}, b <= min(nm, 30).
+        # The ratio meets the bound only at b=0, m=1, where nothing moves and
+        # both are 1; for b >= 1 it stays below 0.775 of the bound (the
+        # largest share, 0.7743, is at n=40, m=8, b=1).
+        largest_moved_share = 0.0
+        for n in range(1, 41):
+            for m in (1, 2, 3, 4, 6, 8):
+                pmf = sum_pmf(n, np.full(m + 1, 1 / (m + 1)))
+                var_orig, _ = central_moments(pmf, np.arange(n * m + 1) / n)
+                for b in range(min(n * m, 30) + 1):
+                    var_corr, _ = central_moments(pmf, projected_support(n, m, b, m / 2) / n)
+                    bound = var_bound_ratio_paper(n, m, b)
+                    assert var_corr / var_orig <= bound, (n, m, b)
+                    if b >= 1:
+                        largest_moved_share = max(largest_moved_share,
+                                                  var_corr / var_orig / bound)
+        assert largest_moved_share < 0.775

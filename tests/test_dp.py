@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from corrlearn.core import Categorical
+from corrlearn.core import Categorical, CountVector
 from corrlearn.dp import (
     CeilingExceededError,
     brute_force_value,
@@ -20,18 +20,16 @@ from corrlearn.mdp import (
     TeacherState,
     TerminalReward,
     apply_action,
+    arrivals,
     feasible_actions,
     l1_terminal_reward,
-    terminal_value,
-    transitions,
 )
 from corrlearn.likelihood import bio_terminal_reward, default_candidates
 from test_mdp import reachable_states
 
 
-def spec_for(theta, n, budget):
-    return MdpSpec(k=theta.k, n=n, budget=budget, model=theta,
-                   reward=l1_terminal_reward(theta))
+def spec_for(theta, n):
+    return MdpSpec(n=n, model=theta, reward=l1_terminal_reward(theta))
 
 
 def passive_expected_error(theta, state, n):
@@ -57,32 +55,30 @@ class TestSolveSmallCases:
         # one draw puts all mass on one value; l1 error 1 either way, and
         # a budget cannot split a single observation
         theta = Categorical((0.5, 0.5))
+        spec = spec_for(theta, 1)
         for budget in (0, 1):
-            spec = spec_for(theta, 1, budget)
-            _, table = solve(spec)
-            assert root_value(table, spec) == pytest.approx(-1.0, abs=1e-12)
+            policy = solve(spec, (budget,))
+            assert root_value(policy, spec, budget) == pytest.approx(-1.0, abs=1e-12)
 
     def test_two_draws_no_budget(self):
         # sequences 00 and 11 leave error 1, the mixed ones error 0
-        spec = spec_for(Categorical((0.5, 0.5)), 2, 0)
-        _, table = solve(spec)
-        assert root_value(table, spec) == pytest.approx(-0.5, abs=1e-12)
+        spec = spec_for(Categorical((0.5, 0.5)), 2)
+        assert root_value(solve(spec, (0,)), spec, 0) == pytest.approx(-0.5, abs=1e-12)
 
     def test_two_draws_one_correction_fixes_everything(self):
-        spec = spec_for(Categorical((0.5, 0.5)), 2, 1)
-        _, table = solve(spec)
-        assert root_value(table, spec) == pytest.approx(0.0, abs=1e-12)
+        spec = spec_for(Categorical((0.5, 0.5)), 2)
+        assert root_value(solve(spec, (1,)), spec, 1) == pytest.approx(0.0, abs=1e-12)
 
 
 class TestBruteForce:
     def test_two_draws(self):
         theta = Categorical((0.5, 0.5))
-        assert brute_force_value(spec_for(theta, 2, 1)) == pytest.approx(0.0, abs=1e-12)
-        assert brute_force_value(spec_for(theta, 2, 0)) == pytest.approx(-0.5, abs=1e-12)
+        assert brute_force_value(spec_for(theta, 2), 1) == pytest.approx(0.0, abs=1e-12)
+        assert brute_force_value(spec_for(theta, 2), 0) == pytest.approx(-0.5, abs=1e-12)
 
     def test_passive_case_equals_direct_expectation(self):
         theta = Categorical.uniform(3)
-        spec = spec_for(theta, 3, 0)
+        spec = spec_for(theta, 3)
         direct = -sum(
             p * passive_expected_error(theta, s, 3)
             for s, p in (
@@ -91,12 +87,12 @@ class TestBruteForce:
                 for y in range(3)
             )
         )
-        assert brute_force_value(spec) == pytest.approx(direct, abs=1e-12)
+        assert brute_force_value(spec, 0) == pytest.approx(direct, abs=1e-12)
 
     def test_ceiling_rejected(self):
-        spec = spec_for(Categorical((0.5, 0.5)), 12, 1)
+        spec = spec_for(Categorical((0.5, 0.5)), 12)
         with pytest.raises(CeilingExceededError):
-            brute_force_value(spec, ceiling=1000)
+            brute_force_value(spec, 1, ceiling=1000)
 
 
 class TestOracleEquivalence:
@@ -110,90 +106,82 @@ class TestOracleEquivalence:
             Categorical((1.0, 0.0)),
             Categorical((0.6, 0.4, 0.0)),
         ):
-            spec = spec_for(theta, n, budget)
-            _, table = solve(spec)
-            assert root_value(table, spec) == pytest.approx(
-                brute_force_value(spec), abs=1e-12
+            spec = spec_for(theta, n)
+            assert root_value(solve(spec, (budget,)), spec, budget) == pytest.approx(
+                brute_force_value(spec, budget), abs=1e-12
             )
 
     def test_root_value_monotone_in_budget(self):
         for theta in (Categorical((0.7, 0.3)), Categorical((0.4, 0.3, 0.3))):
             for n in (1, 2, 3, 4, 5):
-                roots = []
-                for budget in (0, 1, 2):
-                    spec = spec_for(theta, n, budget)
-                    _, table = solve(spec)
-                    roots.append(root_value(table, spec))
+                spec = spec_for(theta, n)
+                roots = [root_value(solve(spec, (b,)), spec, b) for b in (0, 1, 2)]
                 assert roots[0] <= roots[1] + 1e-12
                 assert roots[1] <= roots[2] + 1e-12
 
 
 class TestPolicyAndTable:
     def test_policy_never_spends_at_zero_budget(self):
-        spec = spec_for(Categorical((0.4, 0.3, 0.3)), 5, 2)
-        policy, _ = solve(spec)
+        policy = solve(spec_for(Categorical((0.4, 0.3, 0.3)), 5), (2,))
         for stage_actions in policy.stages.values():
             for state, action in stage_actions.items():
                 if state.budget == 0:
                     assert action.target == state.last_obs
 
     def test_values_bounded_for_l1_reward(self):
-        spec = spec_for(Categorical((0.4, 0.3, 0.3)), 5, 1)
-        _, table = solve(spec)
-        for stage_values in table.stages.values():
+        policy = solve(spec_for(Categorical((0.4, 0.3, 0.3)), 5), (1,))
+        for stage_values in policy.values.values():
             for value in stage_values.values():
                 assert -2.0 <= value <= 0.0
 
     def test_bellman_consistency_spot_check(self):
-        spec = spec_for(Categorical((0.4, 0.3, 0.3)), 6, 2)
-        policy, table = solve(spec)
+        spec = spec_for(Categorical((0.4, 0.3, 0.3)), 6)
+        policy = solve(spec, (2,))
         rng = random.Random(55)
         states = [
             (stage, state)
             for stage in range(1, spec.n)
-            for state in table.stages[stage]
+            for state in policy.values[stage]
         ]
         for stage, state in rng.sample(states, min(1000, len(states))):
             action = policy.stages[stage][state]
             backup = math.fsum(
-                p * table.stages[stage + 1][succ]
-                for succ, p in transitions(state, action, spec)
+                p * policy.values[stage + 1][succ]
+                for succ, p in arrivals(*apply_action(state, action), spec)
             )
-            assert value_at(table, state) == pytest.approx(backup, abs=1e-12)
+            assert value_at(policy, state) == pytest.approx(backup, abs=1e-12)
 
     def test_terminal_stage_values_are_best_final_rewards(self):
-        spec = spec_for(Categorical((0.5, 0.5)), 4, 1)
-        policy, table = solve(spec)
-        for state, value in table.stages[spec.n].items():
+        spec = spec_for(Categorical((0.5, 0.5)), 4)
+        policy = solve(spec, (1,))
+        for state, value in policy.values[spec.n].items():
             best = max(
-                terminal_value(state, action, spec)
+                spec.reward.evaluate(CountVector(apply_action(state, action)[0], spec.n))
                 for action in feasible_actions(state, spec.k)
             )
             assert value == pytest.approx(best, abs=1e-12)
 
     def test_zero_budget_states_match_passive_expectation(self):
         theta = Categorical((0.4, 0.3, 0.3))
-        spec = spec_for(theta, 4, 1)
-        _, table = solve(spec)
+        spec = spec_for(theta, 4)
+        policy = solve(spec, (1,))
         for stage in range(1, spec.n + 1):
-            for state in table.stages[stage]:
+            for state in policy.values[stage]:
                 if state.budget == 0:
                     expected = -passive_expected_error(theta, state, spec.n)
-                    assert value_at(table, state) == pytest.approx(expected, abs=1e-12)
+                    assert value_at(policy, state) == pytest.approx(expected, abs=1e-12)
 
     def test_value_at_unknown_state_rejected(self):
-        spec = spec_for(Categorical((0.5, 0.5)), 3, 0)
-        _, table = solve(spec)
+        policy = solve(spec_for(Categorical((0.5, 0.5)), 3), (0,))
         with pytest.raises(KeyError):
-            value_at(table, TeacherState((1, 1, 1), 0, 0))
+            value_at(policy, TeacherState((1, 1, 1), 0, 0))
 
     def test_initial_state_values_match_conditioned_recursion(self):
         # expectimax restarted from each first observation, written out
         # here independently of the solver
         theta = Categorical((0.7, 0.3))
         n, budget = 3, 1
-        spec = spec_for(theta, n, budget)
-        _, table = solve(spec)
+        policy = solve(spec_for(theta, n), (budget,))
 
         def best(counts, b, y, k):
             outcomes = []
@@ -223,24 +211,23 @@ class TestPolicyAndTable:
         for y in range(2):
             counts = tuple(1 if i == y else 0 for i in range(2))
             state = TeacherState(counts, budget, y)
-            assert value_at(table, state) == pytest.approx(
+            assert value_at(policy, state) == pytest.approx(
                 best(counts, budget, y, 1), abs=1e-12
             )
 
     def test_policy_covers_all_reachable_states(self):
-        spec = spec_for(Categorical((0.4, 0.3, 0.3)), 5, 1)
-        policy, table = solve(spec)
-        for stage in range(1, spec.n + 1):
-            assert set(policy.stages[stage]) == set(table.stages[stage])
+        policy = solve(spec_for(Categorical((0.4, 0.3, 0.3)), 5), (1,))
+        for stage in range(1, policy.n + 1):
+            assert set(policy.stages[stage]) == set(policy.values[stage])
 
     @pytest.mark.parametrize("probs", [(1.0, 0.0), (0.6, 0.4, 0.0), (0.5, 0.5, 0.0)])
     @pytest.mark.parametrize("budget", [0, 1, 2])
     def test_zero_probability_policy_covers_exactly_the_reachable_states(
         self, probs, budget
     ):
-        spec = spec_for(Categorical(probs), 5, budget)
-        policy, _ = solve(spec)
-        reachable = reachable_states(spec)
+        spec = spec_for(Categorical(probs), 5)
+        policy = solve(spec, (budget,))
+        reachable = reachable_states(spec, budget)
         assert sorted(policy.stages) == sorted(reachable)
         for stage, states in reachable.items():
             assert set(policy.stages[stage]) == states
@@ -254,52 +241,52 @@ class TestPolicyAndTable:
             calls.append(counts.counts)
             return base.evaluate(counts)
 
-        spec = MdpSpec(k=3, n=6, budget=2, model=theta,
-                       reward=TerminalReward(counted))
-        _, table = solve(spec)
+        spec = MdpSpec(n=6, model=theta, reward=TerminalReward(counted))
+        policy = solve(spec, (2,))
         finals = {
             apply_action(state, action)[0]
-            for state in table.stages[spec.n]
+            for state in policy.values[spec.n]
             for action in feasible_actions(state, spec.k)
         }
         assert len(calls) == len(set(calls))
         assert set(calls) == finals
 
     def test_solve_ceiling_names_the_bound(self):
-        spec = spec_for(Categorical((0.5, 0.5)), 10, 1)
+        spec = spec_for(Categorical((0.5, 0.5)), 10)
         with pytest.raises(CeilingExceededError, match="state bound"):
-            solve(spec, ceiling=10)
+            solve(spec, (1,), ceiling=10)
 
 
-def bio_spec(n, budget):
+def bio_spec(n):
     candidates = default_candidates()
-    return MdpSpec(k=4, n=n, budget=budget, model=candidates.by_label(4).action_dist,
+    return MdpSpec(n=n, model=candidates.by_label(4).action_dist,
                    reward=bio_terminal_reward(4, candidates))
 
 
 class TestSharedSolve:
     """One solve seeded with several start budgets against one solve per
-    budget: same actions and bit-equal values on every state."""
+    budget: same actions and bit-equal values on every state, and every
+    budget's root read from the one shared policy."""
 
-    @pytest.mark.parametrize("spec_at", [
-        lambda b: spec_for(Categorical((0.4, 0.3, 0.3)), 6, b),
-        lambda b: spec_for(Categorical((0.5, 0.5, 0.0)), 6, b),
-        lambda b: bio_spec(5, b),
+    @pytest.mark.parametrize("spec", [
+        spec_for(Categorical((0.4, 0.3, 0.3)), 6),
+        spec_for(Categorical((0.5, 0.5, 0.0)), 6),
+        bio_spec(5),
     ], ids=["three-value", "zero-probability", "bio"])
-    def test_matches_a_solve_per_budget(self, spec_at):
+    def test_matches_a_solve_per_budget(self, spec):
         budgets = (0, 1, 2, 3)
-        shared_policy, shared_table = solve(spec_at(3), starts=budgets)
-        assert shared_policy.budgets == shared_table.budgets == budgets
+        shared = solve(spec, (3, 1, 0, 2, 1))
+        assert shared.budgets == budgets
         covered: dict[int, set] = {}
         for budget in budgets:
-            policy, table = solve(spec_at(budget))
+            policy = solve(spec, (budget,))
             for stage, actions in policy.stages.items():
                 covered.setdefault(stage, set()).update(actions)
                 for state, action in actions.items():
-                    assert shared_policy.action_for(state) == action
-                    assert value_at(shared_table, state) == value_at(table, state)
-            assert root_value(shared_table, spec_at(budget)) == root_value(table, spec_at(budget))
-        assert {stage: set(states) for stage, states in shared_policy.stages.items()} == covered
+                    assert shared.action_for(state) == action
+                    assert value_at(shared, state) == value_at(policy, state)
+            assert root_value(shared, spec, budget) == root_value(policy, spec, budget)
+        assert {stage: set(states) for stage, states in shared.stages.items()} == covered
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -308,22 +295,24 @@ class TestSharedSolve:
         top=st.integers(0, 4),
     )
     def test_root_value_never_falls_as_the_start_budget_grows(self, probs, n, top):
-        theta = Categorical(probs)
-        _, table = solve(spec_for(theta, n, top), starts=range(top + 1))
-        roots = [root_value(table, spec_for(theta, n, b)) for b in range(top + 1)]
+        spec = spec_for(Categorical(probs), n)
+        policy = solve(spec, range(top + 1))
+        roots = [root_value(policy, spec, b) for b in range(top + 1)]
         assert roots == sorted(roots)
 
-    @pytest.mark.parametrize("starts", [(3,), (0, -1)])
-    def test_start_budgets_outside_the_spec_rejected(self, starts):
-        spec = spec_for(Categorical((0.5, 0.5)), 3, 2)
-        with pytest.raises(ValueError, match="start budgets"):
-            solve(spec, starts=starts)
+    def test_no_budgets_rejected(self):
+        with pytest.raises(ValueError, match="no start budgets"):
+            solve(spec_for(Categorical((0.5, 0.5)), 3), ())
+
+    @pytest.mark.parametrize("budgets", [(-1,), (0, 2, -1)])
+    def test_negative_budget_rejected(self, budgets):
+        with pytest.raises(ValueError, match="budget must be nonnegative"):
+            solve(spec_for(Categorical((0.5, 0.5)), 3), budgets)
 
 
 class TestPolicyDump:
     def test_deterministic_and_sorted(self):
-        spec = spec_for(Categorical((0.5, 0.5)), 3, 1)
-        policy, _ = solve(spec)
+        policy = solve(spec_for(Categorical((0.5, 0.5)), 3), (1,))
         text = policy_dump(policy)
         assert text == policy_dump(policy)
         lines = text.strip().split("\n")
@@ -333,8 +322,7 @@ class TestPolicyDump:
         assert text.endswith("\n")
 
     def test_golden_first_stage(self):
-        spec = spec_for(Categorical((0.5, 0.5)), 2, 1)
-        policy, _ = solve(spec)
+        policy = solve(spec_for(Categorical((0.5, 0.5)), 2), (1,))
         lines = policy_dump(policy).strip().split("\n")
         stage1 = [line for line in lines if line.startswith("1,")]
         assert stage1 == ["1,0|1,1,1,keep", "1,1|0,1,0,keep"]

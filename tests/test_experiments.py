@@ -1,4 +1,3 @@
-import dataclasses
 import json
 
 import pytest
@@ -187,30 +186,20 @@ class TestBoundsRunner:
             assert r["trials"] == 2000
             assert r["var_corr"] <= r["bound_abs"]
 
-    def test_ratio_bound_note_from_one_grid_run(self, monkeypatch, capsys):
+    def test_one_report_per_grid_point_and_nothing_on_stderr(self, monkeypatch, capsys):
         real = experiments.monte_carlo_report
         calls = []
 
-        def report_with_one_violation(n, m, b, trials, seed):
+        def counted(n, m, b, trials, seed):
             calls.append((n, m, b))
-            report = real(n, m, b, trials, seed)
-            if (n, m, b) == (10, 2, 1):
-                report = dataclasses.replace(
-                    report, empirical_ratio=report.bound_ratio_paper + 0.5
-                )
-            return report
+            return real(n, m, b, trials, seed)
 
-        monkeypatch.setattr(experiments, "monte_carlo_report", report_with_one_violation)
+        monkeypatch.setattr(experiments, "monte_carlo_report", counted)
         assert cli.main([
             "bounds", "--seed", "7", "--n-values", "5,10", "--m-values", "1,2",
             "--budgets", "0,1", "--trials", "1000",
         ]) == cli.EXIT_OK
-        _, err = capsys.readouterr()
-        assert err == (
-            "note: empirical variance ratio exceeds the stated ratio bound at "
-            "1 grid point(s) (first: N,M,B=(10, 2, 1)); the ratio bound is "
-            "reported for reference only, the absolute bound is the verified one.\n"
-        )
+        assert capsys.readouterr().err == ""
         assert sorted(calls) == sorted(
             (n, m, b) for n in (5, 10) for m in (1, 2) for b in (0, 1)
         )
@@ -359,6 +348,10 @@ class TestCli:
         code = cli.main(["solve", "--n", "100", "--budget", "1", "--theta0", theta])
         assert code == 3
 
+    def test_solve_negative_budget_exits_2(self, capsys):
+        assert cli.main(["solve", "--n", "3", "--budget", "-1", "--theta0", "0.5,0.5"]) == 2
+        assert capsys.readouterr().err == "error: budget must be nonnegative\n"
+
     def test_invariant_violation_exit_4(self, monkeypatch, capsys):
         def explode(cfg):
             raise InvariantViolationError("boom")
@@ -384,8 +377,8 @@ class TestCli:
 
     def test_uncovered_replay_state_exit_4(self, monkeypatch, capsys):
         # a policy missing the states a replay reaches is a bug, not bad input
-        def empty_policy(spec, starts):
-            return Policy(spec.k, spec.n, tuple(starts), {}), None
+        def empty_policy(spec, budgets):
+            return Policy(spec.k, spec.n, tuple(budgets), {}, {})
 
         monkeypatch.setattr(teacher, "solve", empty_policy)
         assert cli.main(["multinomial", "--seed", "1", "--trials", "2"]) == 4

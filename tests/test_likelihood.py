@@ -177,9 +177,8 @@ class TestRewardPlumbing:
         # identification loss over all action histories
         n = 4
         true_dist = candidates.by_label(4).action_dist
-        spec = MdpSpec(k=4, n=n, budget=0, model=true_dist,
-                       reward=bio_terminal_reward(4, candidates))
-        _, table = solve(spec)
+        spec = MdpSpec(n=n, model=true_dist, reward=bio_terminal_reward(4, candidates))
+        policy = solve(spec, (0,))
         direct = 0.0
         for values in itertools.product(range(4), repeat=n):
             prob = 1.0
@@ -189,7 +188,7 @@ class TestRewardPlumbing:
             for v in values:
                 counts[v] += 1
             direct -= prob * abs(ml_estimate(cv(counts), candidates) - 4)
-        assert root_value(table, spec) == pytest.approx(direct, abs=1e-12)
+        assert root_value(policy, spec, 0) == pytest.approx(direct, abs=1e-12)
 
 
 class TestMisclassificationExperiment:

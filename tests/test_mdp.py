@@ -3,35 +3,42 @@ import random
 
 import pytest
 
-from corrlearn.core import Categorical
+from corrlearn.core import Categorical, CountVector
 from corrlearn.mdp import (
     Action,
     BudgetExhaustedError,
     MdpSpec,
     TeacherState,
     apply_action,
+    arrivals,
     feasible_actions,
-    initial_states,
     l1_terminal_reward,
     state_count_bound,
-    terminal_value,
-    transitions,
 )
 
 
-def spec_for(theta, n, budget):
-    return MdpSpec(k=theta.k, n=n, budget=budget, model=theta,
-                   reward=l1_terminal_reward(theta))
+def spec_for(theta, n):
+    return MdpSpec(n=n, model=theta, reward=l1_terminal_reward(theta))
 
 
-def reachable_states(spec):
+def successors(state, action, spec):
+    """Act, then tally one fresh observation."""
+    return arrivals(*apply_action(state, action), spec)
+
+
+def scored(state, action, spec):
+    """The reward of the final counts that acting on ``state`` leaves."""
+    return spec.reward.evaluate(CountVector(apply_action(state, action)[0], spec.n))
+
+
+def reachable_states(spec, budget):
     """Forward closure under all feasible actions, stage by stage."""
-    stages = {1: {s for s, _ in initial_states(spec)}}
+    stages = {1: {s for s, _ in arrivals((0,) * spec.k, budget, spec)}}
     for stage in range(1, spec.n):
         nxt = set()
         for state in stages[stage]:
             for action in feasible_actions(state, spec.k):
-                for succ, _ in transitions(state, action, spec):
+                for succ, _ in successors(state, action, spec):
                     nxt.add(succ)
         stages[stage + 1] = nxt
     return stages
@@ -88,62 +95,57 @@ class TestApplyAction:
 
 class TestTransitions:
     def test_keep_branches_on_next_observation(self):
-        spec = spec_for(Categorical((0.5, 0.5)), 5, 1)
-        out = transitions(TeacherState((1, 0), 1, 0), Action(0), spec)
+        spec = spec_for(Categorical((0.5, 0.5)), 5)
+        out = successors(TeacherState((1, 0), 1, 0), Action(0), spec)
         assert dict(((s.counts, s.budget, s.last_obs), p) for s, p in out) == {
             ((2, 0), 1, 0): 0.5,
             ((1, 1), 1, 1): 0.5,
         }
 
     def test_change_then_branch(self):
-        spec = spec_for(Categorical((0.5, 0.5)), 5, 1)
-        out = transitions(TeacherState((1, 0), 1, 0), Action(1), spec)
+        spec = spec_for(Categorical((0.5, 0.5)), 5)
+        out = successors(TeacherState((1, 0), 1, 0), Action(1), spec)
         assert dict(((s.counts, s.budget, s.last_obs), p) for s, p in out) == {
             ((1, 1), 0, 0): 0.5,
             ((0, 2), 0, 1): 0.5,
         }
 
-    def test_no_transitions_past_horizon(self):
-        spec = spec_for(Categorical((0.5, 0.5)), 2, 1)
-        with pytest.raises(ValueError, match="horizon"):
-            transitions(TeacherState((1, 1), 1, 0), Action(0), spec)
-
     def test_zero_probability_outcomes_pruned(self):
-        spec = spec_for(Categorical((1.0, 0.0)), 3, 1)
-        out = transitions(TeacherState((1, 0), 1, 0), Action(0), spec)
-        assert [(s.counts, p) for s, p in out] == [((2, 0), 1.0)]
+        spec = spec_for(Categorical((1.0, 0.0)), 3)
+        out = arrivals((1, 0), 1, spec)
+        assert [(s.counts, s.budget, s.last_obs, p) for s, p in out] == [((2, 0), 1, 0, 1.0)]
 
     def test_probabilities_sum_to_one_everywhere(self):
         # exhaustive over reachable states for small processes
         for theta in (Categorical((0.5, 0.5)), Categorical((0.4, 0.3, 0.3))):
             for n in (2, 3, 5):
+                spec = spec_for(theta, n)
                 for budget in (0, 1, 2):
-                    spec = spec_for(theta, n, budget)
-                    stages = reachable_states(spec)
+                    stages = reachable_states(spec, budget)
                     for stage in range(1, n):
                         for state in stages[stage]:
                             for action in feasible_actions(state, spec.k):
                                 total = math.fsum(
-                                    p for _, p in transitions(state, action, spec)
+                                    p for _, p in successors(state, action, spec)
                                 )
                                 assert abs(total - 1.0) < 1e-12
 
     def test_stage_advances_by_one_observation(self):
-        spec = spec_for(Categorical((0.4, 0.3, 0.3)), 4, 1)
-        stages = reachable_states(spec)
+        spec = spec_for(Categorical((0.4, 0.3, 0.3)), 4)
+        stages = reachable_states(spec, 1)
         for stage in range(1, spec.n):
             for state in stages[stage]:
                 assert state.stage == stage
                 for action in feasible_actions(state, spec.k):
                     counts, _ = apply_action(state, action)
                     assert sum(counts) == stage  # the action moves, never adds
-                    for succ, _ in transitions(state, action, spec):
+                    for succ, _ in successors(state, action, spec):
                         assert succ.stage == stage + 1
 
     def test_reachable_states_within_bound(self):
+        spec = spec_for(Categorical((0.4, 0.3, 0.3)), 5)
         for budget in (0, 1, 2):
-            spec = spec_for(Categorical((0.4, 0.3, 0.3)), 5, budget)
-            stages = reachable_states(spec)
+            stages = reachable_states(spec, budget)
             total = sum(len(s) for s in stages.values())
             assert total <= state_count_bound(3, 5, budget=budget)
 
@@ -151,27 +153,22 @@ class TestTransitions:
 class TestTerminalValue:
     def test_keep_scores_final_counts(self):
         theta = Categorical((0.4, 0.3, 0.3))
-        spec = spec_for(theta, 5, 1)
-        value = terminal_value(TeacherState((2, 2, 1), 1, 0), Action(0), spec)
+        spec = spec_for(theta, 5)
+        value = scored(TeacherState((2, 2, 1), 1, 0), Action(0), spec)
         assert value == pytest.approx(-0.2, abs=1e-12)
 
     def test_exact_match_scores_zero(self):
         theta = Categorical((0.6, 0.4))
-        spec = spec_for(theta, 5, 1)
-        assert terminal_value(TeacherState((3, 2), 0, 0), Action(0), spec) == 0.0
+        spec = spec_for(theta, 5)
+        assert scored(TeacherState((3, 2), 0, 0), Action(0), spec) == 0.0
 
     def test_final_change_is_allowed_and_scored(self):
         # moving the last observation: final counts (4, 1), estimate
         # (0.8, 0.2), l1 error vs (0.5, 0.5) = 0.6
         theta = Categorical((0.5, 0.5))
-        spec = spec_for(theta, 5, 1)
-        value = terminal_value(TeacherState((5, 0), 1, 0), Action(1), spec)
+        spec = spec_for(theta, 5)
+        value = scored(TeacherState((5, 0), 1, 0), Action(1), spec)
         assert value == pytest.approx(-0.6, abs=1e-12)
-
-    def test_rejected_on_nonterminal(self):
-        spec = spec_for(Categorical((0.5, 0.5)), 5, 1)
-        with pytest.raises(ValueError):
-            terminal_value(TeacherState((1, 1), 1, 0), Action(0), spec)
 
 
 class TestTrajectories:
@@ -180,7 +177,7 @@ class TestTrajectories:
         theta = Categorical((0.4, 0.3, 0.3))
         for _ in range(200):
             budget = rng.randint(0, 3)
-            spec = spec_for(theta, 6, budget)
+            spec = spec_for(theta, 6)
             state = None
             spent = 0
             for step in range(spec.n):
@@ -192,7 +189,7 @@ class TestTrajectories:
                 action = rng.choice(feasible_actions(state, spec.k))
                 if action.target != state.last_obs:
                     spent += 1
-                succs = transitions(state, action, spec)
+                succs = successors(state, action, spec)
                 state = rng.choices(
                     [s for s, _ in succs], weights=[p for _, p in succs]
                 )[0]
@@ -205,7 +202,6 @@ class TestStateValidation:
         with pytest.raises(ValueError):
             TeacherState((0, 1), 1, 0)
 
-    def test_model_dimension_checked(self):
-        with pytest.raises(ValueError):
-            MdpSpec(k=3, n=2, budget=0, model=Categorical((0.5, 0.5)),
-                    reward=l1_terminal_reward(Categorical((0.5, 0.5))))
+    def test_spec_takes_k_from_the_model(self):
+        assert spec_for(Categorical((0.4, 0.3, 0.3)), 2).k == 3
+        assert spec_for(Categorical((0.5, 0.5)), 2).k == 2

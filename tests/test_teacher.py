@@ -38,15 +38,14 @@ from corrlearn.teacher import (
 )
 
 
-def spec_for(theta, n, budget):
-    return MdpSpec(k=theta.k, n=n, budget=budget, model=theta,
-                   reward=l1_terminal_reward(theta))
+def spec_for(theta, n):
+    return MdpSpec(n=n, model=theta, reward=l1_terminal_reward(theta))
 
 
 def solved_policy(theta, n, budget):
-    spec = spec_for(theta, n, budget)
-    policy, table = solve(spec)
-    return policy, root_value(table, spec)
+    spec = spec_for(theta, n)
+    policy = solve(spec, (budget,))
+    return policy, root_value(policy, spec, budget)
 
 
 def online_error(seq, policy, budget, theta):
@@ -127,7 +126,7 @@ class TestRunOnline:
 
     def test_shared_policy_serves_exactly_its_start_budgets(self):
         theta = Categorical((0.5, 0.5))
-        policy, _ = solve(spec_for(theta, 4, 3), starts=(3, 0))
+        policy = solve(spec_for(theta, 4), (3, 0))
         assert policy.budgets == (0, 3)
         seq = sample_sequence(theta, 4, Seed(3))
         for budget in (0, 3):
@@ -345,7 +344,7 @@ class TestReplayAll:
         theta = Categorical(probs)
         sequences = [sample_sequence(theta, n, Seed(seed).spawn(t)) for t in range(8)]
         streams = streams_of(sequences)
-        policy, _ = solve(spec_for(theta, n, max(budgets)), starts=budgets)
+        policy = solve(spec_for(theta, n), budgets)
         for budget in budgets:
             corrected, counts, spent = replay_all(streams, theta.k, policy, budget)
             assert (spent <= budget).all()
@@ -375,9 +374,9 @@ class TestReplays:
     def test_one_solve_serves_every_budget(self, monkeypatch):
         calls = []
 
-        def counted(spec, **kwargs):
-            calls.append((spec.budget, kwargs))
-            return solve(spec, **kwargs)
+        def counted(spec, budgets, **kwargs):
+            calls.append((budgets, kwargs))
+            return solve(spec, budgets, **kwargs)
 
         monkeypatch.setattr(teacher, "solve", counted)
         theta = Categorical((0.5, 0.5))
@@ -385,7 +384,7 @@ class TestReplays:
         budgets = [budget for budget, _, _ in replays(
             sequences, theta, l1_terminal_reward(theta), (2, 0, 2))]
         assert budgets == [2, 0, 2]
-        assert calls == [(2, {"starts": (2, 0, 2)})]
+        assert calls == [((2, 0, 2), {})]
 
     def test_no_sequences_rejected(self):
         theta = Categorical((0.5, 0.5))
