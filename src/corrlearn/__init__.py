@@ -10,10 +10,10 @@ variant, and seeded experiment runners behind a CLI.
 """
 
 from .batch import batch_correct
-from .core import Categorical, Seed, counts_from_sequence, sample_sequence
+from .core import Categorical, Seed, sample_sequence
 from .dp import solve
 from .mdp import MdpSpec, l1_terminal_reward
-from .teacher import run_online
+from .teacher import replay_all
 
 __version__ = "0.1.0"
 
@@ -22,9 +22,8 @@ __all__ = [
     "MdpSpec",
     "Seed",
     "batch_correct",
-    "counts_from_sequence",
     "l1_terminal_reward",
-    "run_online",
+    "replay_all",
     "sample_sequence",
     "solve",
 ]

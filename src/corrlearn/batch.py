@@ -23,13 +23,7 @@ class EMin(NamedTuple):
 @dataclass(frozen=True)
 class BatchResult:
     corrected: CountVector
-    corrections_used: int
     error: float
-
-
-def _moves_between(a: tuple[int, ...], b: tuple[int, ...]) -> int:
-    # One moved observation changes two entries by one each.
-    return sum(abs(x - y) for x, y in zip(a, b)) // 2
 
 
 def _apportion(theta0: Categorical, n: int) -> tuple[int, ...]:
@@ -132,8 +126,4 @@ def batch_correct(
         raise ValueError("no observations")
     corrected = _greedy_correct(counts.counts, theta0, budget, n)
     corrected_cv = CountVector(corrected, counts.n_target)
-    return BatchResult(
-        corrected=corrected_cv,
-        corrections_used=_moves_between(counts.counts, corrected),
-        error=l1_error(empirical_estimate(corrected_cv), theta0),
-    )
+    return BatchResult(corrected_cv, l1_error(empirical_estimate(corrected_cv), theta0))

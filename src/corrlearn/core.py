@@ -2,13 +2,15 @@
 
 Outcome alphabets are indexed 0..K-1 where K is the number of distinct
 values (K >= 2 everywhere). All types are immutable; sampling takes an
-explicit seed, so there is no shared generator state to protect.
+explicit seed per stream, so there is no shared generator state to protect.
+A stream is a row of an int array of outcome indices.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -40,29 +42,6 @@ class Categorical:
     @property
     def k(self) -> int:
         return len(self.probs)
-
-    @classmethod
-    def uniform(cls, k: int) -> "Categorical":
-        return cls((1.0 / k,) * k)
-
-
-@dataclass(frozen=True)
-class ObservationSequence:
-    """Ordered outcome indices drawn from an alphabet of size k."""
-
-    values: tuple[int, ...]
-    k: int
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "values", tuple(int(v) for v in self.values))
-        if self.k < 2:
-            raise ValueError("alphabet size must be at least 2")
-        for v in self.values:
-            if not 0 <= v < self.k:
-                raise ValueError(f"observation {v} outside alphabet 0..{self.k - 1}")
-
-    def __len__(self) -> int:
-        return len(self.values)
 
 
 @dataclass(frozen=True)
@@ -125,25 +104,18 @@ def l1_error(a: Categorical, b: Categorical) -> float:
     return math.fsum(abs(x - y) for x, y in zip(a.probs, b.probs))
 
 
-def sample_sequence(dist: Categorical, n: int, seed: Seed) -> ObservationSequence:
-    """Draw n i.i.d. observations from ``dist``.
+def sample_sequence(dist: Categorical, n: int, seeds: Sequence[Seed]) -> np.ndarray:
+    """Draw n i.i.d. observations from ``dist`` per seed, as the rows of a
+    (len(seeds), n) int array of outcome indices.
 
-    Identical (dist, n, seed) produce identical sequences: draws are
-    uniforms from a PCG64 stream mapped through the cumulative
+    Identical (dist, n, seed) produce identical rows: each row's draws are
+    uniforms from its own seed's PCG64 stream mapped through the cumulative
     distribution, with no platform-dependent shortcuts.
     """
     if n < 1:
         raise ValueError("need at least one draw")
-    u = seed.rng().random(n)
-    cum = np.cumsum(dist.probs)
-    idx = np.searchsorted(cum, u, side="right")
-    # cum[-1] can undershoot 1.0 by an ulp; clamp the (measure-zero) overflow.
-    values = np.minimum(idx, dist.k - 1)
-    return ObservationSequence(tuple(int(v) for v in values), dist.k)
-
-
-def counts_from_sequence(seq: ObservationSequence) -> CountVector:
-    counts = [0] * seq.k
-    for v in seq.values:
-        counts[v] += 1
-    return CountVector(tuple(counts), len(seq))
+    u = np.array([seed.rng().random(n) for seed in seeds]).reshape(len(seeds), n)
+    idx = np.searchsorted(np.cumsum(dist.probs), u, side="right")
+    # The cumulative sum can undershoot 1.0 by an ulp; clamp the
+    # (measure-zero) overflow.
+    return np.minimum(idx, dist.k - 1)

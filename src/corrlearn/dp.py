@@ -66,7 +66,10 @@ def value_at(policy: Policy, state: TeacherState) -> float:
 
 def root_value(policy: Policy, spec: MdpSpec, budget: int) -> float:
     """Optimal expected reward before the first observation, at ``budget``."""
-    return sum(p * value_at(policy, s) for s, p in arrivals((0,) * spec.k, budget, spec))
+    total = 0.0  # added in outcome order, as in ``solve``
+    for s, p in arrivals((0,) * spec.k, budget, spec):
+        total += p * value_at(policy, s)
+    return total
 
 
 def solve(
@@ -122,8 +125,11 @@ def solve(
         stage_actions: dict[TeacherState, Action] = {}
         behind: dict[tuple[tuple[int, ...], int], float] = {}
         for counts, budget in pairs.pop():
-            arrived = arrivals(counts, budget, spec)
-            for state, _ in arrived:
+            # W is added up left to right in outcome order, not with the
+            # builtin ``sum``: that is compensated from Python 3.12, which
+            # would make values, and so near-tie decisions, version-dependent.
+            total = 0.0
+            for state, p in arrivals(counts, budget, spec):
                 best = float("-inf")
                 best_action: Action | None = None
                 for action in feasible_actions(state, spec.k):
@@ -134,7 +140,8 @@ def solve(
                 assert best_action is not None
                 stage_values[state] = best
                 stage_actions[state] = best_action
-            behind[(counts, budget)] = sum(p * stage_values[s] for s, p in arrived)
+                total += p * best
+            behind[(counts, budget)] = total
         values[stage] = stage_values
         actions[stage] = stage_actions
         ahead = behind

@@ -20,8 +20,7 @@ import numpy as np
 
 from .batch import attainable_error, batch_correct
 from .bounds import monte_carlo_report
-from .core import (Categorical, CountVector, Seed, counts_from_sequence, empirical_estimate,
-                   l1_error, sample_sequence)
+from .core import Categorical, CountVector, Seed, empirical_estimate, l1_error, sample_sequence
 from .likelihood import CandidateSet, default_candidates, misclassification_experiment
 from .mdp import l1_terminal_reward
 from .teacher import per_distinct_counts, replays
@@ -226,15 +225,15 @@ def _run_correction_records(config: ExperimentConfig, with_attainable: bool) -> 
         )
     (n,) = config.n_values
     seed = Seed(config.seed)
-    sequences = [sample_sequence(theta0, n, seed.spawn(t)) for t in range(config.trials)]
-    originals = np.array([counts_from_sequence(seq).counts for seq in sequences])
+    streams = sample_sequence(theta0, n, [seed.spawn(t) for t in range(config.trials)])
+    originals = (streams[:, :, None] == np.arange(theta0.k)).sum(axis=1)
 
     def error(counts: CountVector) -> float:
         return l1_error(empirical_estimate(counts), theta0)
 
     error_original = per_distinct_counts(error, originals, n)
     rows = []
-    for budget, counts, spent in replays(sequences, theta0, l1_terminal_reward(theta0),
+    for budget, counts, spent in replays(streams, theta0, l1_terminal_reward(theta0),
                                          config.budgets):
         online = per_distinct_counts(error, counts, n)
         batch = per_distinct_counts(lambda c: (
@@ -284,10 +283,8 @@ def run_variance_sweep(config: ExperimentConfig) -> list[Row]:
     reward = l1_terminal_reward(theta0)
     rows = []
     for n in config.n_values:
-        sequences = [
-            sample_sequence(theta0, n, seed.spawn(n, t)) for t in range(config.trials)
-        ]
-        for budget, counts, _ in replays(sequences, theta0, reward, config.budgets):
+        streams = sample_sequence(theta0, n, [seed.spawn(n, t) for t in range(config.trials)])
+        for budget, counts, _ in replays(streams, theta0, reward, config.budgets):
             estimates = np.array(
                 per_distinct_counts(lambda c: empirical_estimate(c).probs, counts, n))
             per_coord = estimates.var(axis=0, ddof=1)

@@ -46,10 +46,6 @@ class CandidateSet:
         if len(counts) != 1:
             raise ValueError("all candidates must share one action count")
 
-    @property
-    def action_count(self) -> int:
-        return self.models[0].action_dist.k
-
     def labels(self) -> tuple[int, ...]:
         return tuple(m.theta for m in self.models)
 
@@ -62,16 +58,6 @@ class CandidateSet:
     @classmethod
     def from_file(cls, path: str | Path) -> "CandidateSet":
         return _parse_candidates(Path(path).read_text(), str(path))
-
-    def to_file(self, path: str | Path) -> None:
-        payload = {
-            "version": CANDIDATE_FILE_VERSION,
-            "models": [
-                {"theta": m.theta, "probs": list(m.action_dist.probs)}
-                for m in self.models
-            ],
-        }
-        Path(path).write_text(json.dumps(payload, indent=2) + "\n")
 
 
 def _parse_candidates(text: str, source: str) -> CandidateSet:
@@ -169,11 +155,9 @@ def misclassification_experiment(
         raise ValueError("need at least one trial")
     true_dist = candidates.by_label(theta0_label).action_dist
     reward = bio_terminal_reward(theta0_label, candidates)
-    sequences = [
-        sample_sequence(true_dist, n, seed.spawn(trial)) for trial in range(trials)
-    ]
+    streams = sample_sequence(true_dist, n, [seed.spawn(trial) for trial in range(trials)])
     rates: dict[int, float] = {}
-    for budget, counts, _ in replays(sequences, true_dist, reward, budgets):
+    for budget, counts, _ in replays(streams, true_dist, reward, budgets):
         labels = per_distinct_counts(lambda c: ml_estimate(c, candidates), counts, n)
         rates[budget] = sum(label != theta0_label for label in labels) / trials
     return rates

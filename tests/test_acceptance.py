@@ -14,19 +14,13 @@ the criterion as written and reports the violation rather than hiding it.
 import itertools
 import time
 
+import numpy as np
 from stat_helpers import sample_variance_se
 
 from corrlearn import cli
 from corrlearn.batch import attainable_error, e_min
 from corrlearn.bounds import monte_carlo_report
-from corrlearn.core import (
-    Categorical,
-    ObservationSequence,
-    Seed,
-    counts_from_sequence,
-    empirical_estimate,
-    l1_error,
-)
+from corrlearn.core import Categorical, CountVector, Seed, empirical_estimate, l1_error
 from corrlearn.dp import brute_force_value, root_value, solve
 from corrlearn.experiments import (
     ExperimentConfig,
@@ -35,7 +29,7 @@ from corrlearn.experiments import (
     run_variance_sweep,
 )
 from corrlearn.mdp import MdpSpec, l1_terminal_reward
-from corrlearn.teacher import BinomialThresholdPolicy, expected_online_error, run_online
+from corrlearn.teacher import BinomialThresholdPolicy, expected_online_error, replay_all
 
 ACCEPT_SEED = 20260811
 
@@ -75,17 +69,14 @@ def test_criterion_2_binomial_online_optimality():
     n = 10
     start = time.perf_counter()
     worst = 0.0
+    streams = np.array(list(itertools.product(range(2), repeat=n)))
+    originals = [CountVector((n - ones, ones), n) for ones in streams.sum(axis=1).tolist()]
     for budget in (0, 1, 2):
         policy = solve(l1_spec(theta, n), (budget,))
-        for values in itertools.product(range(2), repeat=n):
-            seq = ObservationSequence(values, 2)
-            floor = attainable_error(
-                n, theta, budget, empirical_estimate(counts_from_sequence(seq))
-            )
-            trace = run_online(seq, policy, budget)
-            err = l1_error(
-                empirical_estimate(counts_from_sequence(trace.corrected)), theta
-            )
+        _, counts, _ = replay_all(streams, 2, policy, budget)
+        for original, final in zip(originals, counts.tolist()):
+            floor = attainable_error(n, theta, budget, empirical_estimate(original))
+            err = l1_error(empirical_estimate(CountVector(tuple(final), n)), theta)
             worst = max(worst, abs(err - floor))
     elapsed = time.perf_counter() - start
     ok = worst < 1e-12 and elapsed < 10
@@ -97,8 +88,8 @@ def test_criterion_2_binomial_online_optimality():
 
 def test_criterion_3_oracle_equivalence():
     thetas = {
-        2: (Categorical.uniform(2), Categorical((0.7, 0.3)), Categorical((0.9, 0.1))),
-        3: (Categorical.uniform(3), Categorical((0.4, 0.3, 0.3)),
+        2: (Categorical((0.5, 0.5)), Categorical((0.7, 0.3)), Categorical((0.9, 0.1))),
+        3: (Categorical((1 / 3,) * 3), Categorical((0.4, 0.3, 0.3)),
             Categorical((0.8, 0.1, 0.1))),
     }
     start = time.perf_counter()

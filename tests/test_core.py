@@ -7,9 +7,7 @@ import pytest
 from corrlearn.core import (
     Categorical,
     CountVector,
-    ObservationSequence,
     Seed,
-    counts_from_sequence,
     empirical_estimate,
     l1_error,
     sample_sequence,
@@ -38,9 +36,6 @@ class TestCategorical:
     def test_rejects_single_outcome(self):
         with pytest.raises(ValueError):
             Categorical((1.0,))
-
-    def test_uniform(self):
-        assert Categorical.uniform(4).probs == (0.25,) * 4
 
 
 class TestEmpiricalEstimate:
@@ -97,43 +92,53 @@ class TestL1Error:
 class TestSampleSequence:
     def test_deterministic_per_seed(self):
         dist = Categorical((0.4, 0.3, 0.3))
-        a = sample_sequence(dist, 200, Seed(99))
-        b = sample_sequence(dist, 200, Seed(99))
-        assert a == b
-        assert sample_sequence(dist, 200, Seed(100)) != a
+        a = sample_sequence(dist, 200, [Seed(99)])
+        b = sample_sequence(dist, 200, [Seed(99)])
+        assert a.shape == (1, 200)
+        assert np.array_equal(a, b)
+        assert not np.array_equal(sample_sequence(dist, 200, [Seed(100)]), a)
 
     def test_degenerate_distribution(self):
-        seq = sample_sequence(Categorical((1.0, 0.0)), 4, Seed(5))
-        assert seq.values == (0, 0, 0, 0)
+        streams = sample_sequence(Categorical((1.0, 0.0)), 4, [Seed(5)])
+        assert streams.tolist() == [[0, 0, 0, 0]]
 
     def test_law_of_large_numbers(self):
         # SE of the frequency is ~0.0016 at this size; 0.01 is > 3 sigma.
-        seq = sample_sequence(Categorical((0.5, 0.5)), 100_000, Seed(42))
-        freq = seq.values.count(0) / len(seq)
-        assert abs(freq - 0.5) < 0.01
+        (row,) = sample_sequence(Categorical((0.5, 0.5)), 100_000, [Seed(42)])
+        assert abs((row == 0).mean() - 0.5) < 0.01
 
     def test_zero_draws_rejected(self):
         with pytest.raises(ValueError):
-            sample_sequence(Categorical((0.5, 0.5)), 0, Seed(1))
+            sample_sequence(Categorical((0.5, 0.5)), 0, [Seed(1)])
 
     def test_values_in_alphabet(self):
-        seq = sample_sequence(Categorical((0.2, 0.5, 0.3)), 500, Seed(7))
-        assert all(0 <= v < 3 for v in seq.values)
+        streams = sample_sequence(Categorical((0.2, 0.5, 0.3)), 500, [Seed(7)])
+        assert ((0 <= streams) & (streams < 3)).all()
+
+    def test_each_row_is_its_own_seeds_draw(self):
+        theta = Categorical((0.4, 0.3, 0.3))
+        for n in (1, 5, 25):
+            seeds = [Seed(7).spawn(n, t) for t in range(30)]
+            streams = sample_sequence(theta, n, seeds)
+            assert streams.shape == (30, n)
+            for t, seed in enumerate(seeds):
+                assert np.array_equal(streams[t], sample_sequence(theta, n, [seed])[0])
+
+    def test_pinned_draws(self):
+        # Rows keyed as the variance experiment keys them; a change here
+        # moves every experiment's output.
+        streams = sample_sequence(
+            Categorical((0.4, 0.3, 0.3)), 5, [Seed(7).spawn(5, t) for t in range(4)])
+        assert streams.tolist() == [
+            [1, 2, 2, 2, 0], [1, 0, 2, 0, 0], [0, 2, 1, 1, 0], [0, 0, 2, 0, 0]]
+
+    def test_no_seeds_give_no_rows(self):
+        streams = sample_sequence(Categorical((0.5, 0.5)), 3, [])
+        assert streams.shape == (0, 3)
 
 
 class TestCountsFromSequence:
-    @pytest.mark.parametrize(
-        "values,k,expected",
-        [
-            ((0, 1, 1), 2, (1, 2)),
-            ((), 3, (0, 0, 0)),
-            ((2, 2, 2, 0), 3, (1, 0, 3)),
-        ],
-    )
-    def test_examples(self, values, k, expected):
-        cv = counts_from_sequence(ObservationSequence(values, k))
-        assert cv.counts == expected
-        assert cv.total == len(values)
+    """The per-row tally of sampled streams, as the experiments take it."""
 
     def test_composition_with_sampling_sums_to_n(self):
         rng = random.Random(3)
@@ -142,8 +147,10 @@ class TestCountsFromSequence:
             n = rng.randint(1, 40)
             raw = [rng.random() + 0.05 for _ in range(k)]
             dist = Categorical(tuple(x / math.fsum(raw) for x in raw))
-            seq = sample_sequence(dist, n, Seed(rng.randrange(2**32)))
-            assert counts_from_sequence(seq).total == n
+            (row,) = sample_sequence(dist, n, [Seed(rng.randrange(2**32))])
+            counts = np.bincount(row, minlength=k)
+            assert len(counts) == k
+            assert CountVector(tuple(counts), n).total == n
 
 
 class TestSeed:

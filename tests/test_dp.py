@@ -77,7 +77,7 @@ class TestBruteForce:
         assert brute_force_value(spec_for(theta, 2), 0) == pytest.approx(-0.5, abs=1e-12)
 
     def test_passive_case_equals_direct_expectation(self):
-        theta = Categorical.uniform(3)
+        theta = Categorical((1 / 3,) * 3)
         spec = spec_for(theta, 3)
         direct = -sum(
             p * passive_expected_error(theta, s, 3)

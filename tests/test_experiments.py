@@ -1,10 +1,11 @@
 import json
 
+import numpy as np
 import pytest
 
 from corrlearn import cli, dp, experiments, teacher
 from corrlearn.batch import e_min
-from corrlearn.core import Categorical
+from corrlearn.core import Categorical, Seed, sample_sequence
 from corrlearn.dp import DEFAULT_STATE_CEILING, Policy
 from corrlearn.experiments import (
     EXPERIMENTS,
@@ -22,6 +23,8 @@ from corrlearn.experiments import (
 )
 from corrlearn.likelihood import default_candidates
 from corrlearn.mdp import state_count_bound
+from corrlearn.teacher import per_distinct_counts
+from test_likelihood import write_candidates
 
 
 MULTINOMIAL_HEADER = (
@@ -127,6 +130,24 @@ class TestMultinomialRunner:
         for r in records:
             assert r["error_online"] == pytest.approx(floor, abs=1e-12)
             assert r["error_batch"] == pytest.approx(floor, abs=1e-12)
+
+
+    @pytest.mark.parametrize("experiment,theta0", [
+        ("multinomial", (0.45, 0.35, 0.2)), ("binomial", (0.3, 0.7))])
+    def test_original_counts_tally_each_sampled_stream(self, monkeypatch, experiment, theta0):
+        tallied = []
+
+        def recording(f, counts, n):
+            tallied.append(counts)
+            return per_distinct_counts(f, counts, n)
+
+        monkeypatch.setattr(experiments, "per_distinct_counts", recording)
+        EXPERIMENTS[experiment].run(config(
+            experiment=experiment, trials=40, n_values=(12,), budgets=(1,), theta0=theta0))
+        streams = sample_sequence(
+            Categorical(theta0), 12, [Seed(4242).spawn(t) for t in range(40)])
+        expected = [np.bincount(row, minlength=len(theta0)) for row in streams]
+        assert np.array_equal(tallied[0], expected)
 
 
 class TestBinomialRunner:
@@ -405,7 +426,7 @@ class TestCli:
     def test_parameter_the_experiment_does_not_read_exits_2(
         self, tmp_path, capsys, experiment, field
     ):
-        default_candidates().to_file(tmp_path / "models.json")
+        write_candidates(default_candidates(), tmp_path / "models.json")
         flag_value, file_value = {
             "m_values": ("9", [9]),
             "theta0": ("0.5,0.5", [0.5, 0.5]),

@@ -8,11 +8,16 @@ of output, and say so in the change's description.
 
 import contextlib
 import io
+import json
+import os
+import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-from corrlearn import cli
+from corrlearn import cli, dp
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -73,6 +78,76 @@ def cli_stdout(argv):
 def test_matches_golden(name):
     expected = (GOLDEN / f"{name}.txt").read_bytes()
     assert cli_stdout(CASES[name]).encode() == expected
+
+
+SOLVE_CASES = {**POLICIES, **ZERO_PROB_POLICIES}
+
+
+def neumaier_sum(values, start=0):
+    """The builtin ``sum`` of floats from Python 3.12: compensated."""
+    total, compensation = float(start), 0.0
+    for v in values:
+        t = total + v
+        if abs(total) >= abs(v):
+            compensation += (total - t) + v
+        else:
+            compensation += (v - t) + total
+        total = t
+    return total + compensation
+
+
+def test_solve_goldens_do_not_depend_on_the_builtin_sum(monkeypatch):
+    monkeypatch.setattr(dp, "sum", neumaier_sum, raising=False)
+    differ = [name for name, argv in SOLVE_CASES.items()
+              if cli_stdout(argv).encode() != (GOLDEN / f"{name}.txt").read_bytes()]
+    assert differ == []
+
+
+# Runs in another interpreter: stdout of every solve case, by name, as JSON.
+CHILD = """
+import contextlib, io, json, sys
+from corrlearn import cli
+out = {}
+for name, argv in json.load(sys.stdin).items():
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        assert cli.main(argv) == 0
+    out[name] = buf.getvalue()
+json.dump(out, sys.stdout)
+"""
+
+
+def other_interpreters():
+    """Installed pyenv interpreters >= 3.10 of another minor version."""
+    found = []
+    for python in sorted(Path.home().glob(".pyenv/versions/3.1*/bin/python")):
+        version = re.match(r"(\d+)\.(\d+)", python.parent.parent.name)
+        if version:
+            minor = tuple(map(int, version.groups()))
+            if minor >= (3, 10) and minor != sys.version_info[:2]:
+                found.append(python)
+    return found
+
+
+def test_solve_goldens_under_other_pythons(tmp_path):
+    """``dp``, ``mdp`` and the ``core`` types never call numpy, so the solve
+    cases run on interpreters without it, against an empty stub package."""
+    pythons = other_interpreters()
+    if not pythons:
+        pytest.skip("no other Python >= 3.10 installed")
+    (tmp_path / "numpy").mkdir()
+    (tmp_path / "numpy" / "__init__.py").write_text("")
+    src = Path(cli.__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join((str(src), str(tmp_path)))}
+    differ = []
+    for python in pythons:
+        run = subprocess.run([str(python), "-c", CHILD], input=json.dumps(SOLVE_CASES),
+                             capture_output=True, text=True, env=env, timeout=300)
+        assert run.returncode == 0, (python, run.stderr)
+        dumps = json.loads(run.stdout)
+        differ += [(python.parent.parent.name, name) for name, text in dumps.items()
+                   if text.encode() != (GOLDEN / f"{name}.txt").read_bytes()]
+    assert differ == []
 
 
 if __name__ == "__main__":

@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from corrlearn.core import Categorical, CountVector, Seed
 from corrlearn.dp import root_value, solve
 from corrlearn.likelihood import (
+    CANDIDATE_FILE_VERSION,
     CandidateModel,
     CandidateSet,
     bio_terminal_reward,
@@ -26,10 +28,17 @@ def cv(counts):
     return CountVector(tuple(counts), sum(counts))
 
 
+def write_candidates(candidates, path):
+    """A candidate file in the format ``CandidateSet.from_file`` reads."""
+    models = [{"theta": m.theta, "probs": list(m.action_dist.probs)}
+              for m in candidates.models]
+    path.write_text(json.dumps({"version": CANDIDATE_FILE_VERSION, "models": models}))
+
+
 class TestDefaultCandidates:
     def test_labels_and_shape(self, candidates):
         assert candidates.labels() == (1, 4, 8)
-        assert candidates.action_count == 4
+        assert {m.action_dist.k for m in candidates.models} == {4}
 
     def test_known_probabilities(self, candidates):
         assert candidates.by_label(4).action_dist.probs[1] == pytest.approx(
@@ -68,7 +77,7 @@ class TestCandidateSetValidation:
 class TestCandidateFiles:
     def test_round_trip(self, candidates, tmp_path):
         path = tmp_path / "models.json"
-        candidates.to_file(path)
+        write_candidates(candidates, path)
         loaded = CandidateSet.from_file(path)
         assert loaded == candidates
 

@@ -12,9 +12,7 @@ from corrlearn.batch import attainable_error, batch_correct
 from corrlearn.core import (
     Categorical,
     CountVector,
-    ObservationSequence,
     Seed,
-    counts_from_sequence,
     empirical_estimate,
     l1_error,
     sample_sequence,
@@ -30,11 +28,9 @@ from corrlearn.mdp import (
 )
 from corrlearn.teacher import (
     BinomialThresholdPolicy,
-    OnlineTrace,
     expected_online_error,
     replay_all,
     replays,
-    run_online,
 )
 
 
@@ -48,92 +44,101 @@ def solved_policy(theta, n, budget):
     return policy, root_value(policy, spec, budget)
 
 
-def online_error(seq, policy, budget, theta):
-    trace = run_online(seq, policy, budget)
-    return l1_error(empirical_estimate(trace.counts), theta)
+def tally(values, k):
+    """Count vector of one stream."""
+    return CountVector(tuple(np.bincount(values, minlength=k).tolist()), len(values))
 
 
-def stream_replay_trace(seq, policy, budget):
-    corrected, counts, spent = stream_replay(seq, policy, budget)
-    return OnlineTrace(ObservationSequence(corrected, seq.k), CountVector(counts, len(seq)), spent)
+def replay_one(values, k, policy, budget):
+    """``replay_all`` on a 1-row array: the corrected stream, the final
+    counts and the budget spent, as ``stream_replay`` gives them."""
+    corrected, counts, spent = replay_all(np.array([values]), k, policy, budget)
+    return tuple(corrected[0].tolist()), tuple(counts[0].tolist()), int(spent[0])
+
+
+def online_error(values, policy, budget, theta):
+    _, counts, _ = replay_one(values, theta.k, policy, budget)
+    return l1_error(empirical_estimate(CountVector(counts, len(values))), theta)
+
+
+def all_streams(k, n):
+    return np.array(list(itertools.product(range(k), repeat=n)))
 
 
 def enumerated_online_error(policy, model, n, budget):
-    """Oracle for ``expected_online_error``: replay all k^n streams."""
+    """Oracle for ``expected_online_error``: replay all k^n streams of
+    nonzero probability in one ``replay_all`` call."""
+    streams = all_streams(model.k, n)
+    probs = np.array([math.prod(model.probs[v] for v in row) for row in streams.tolist()])
+    streams, probs = streams[probs > 0.0], probs[probs > 0.0]
+    _, counts, _ = replay_all(streams, model.k, policy, budget)
     total = 0.0
-    for values in itertools.product(range(model.k), repeat=n):
-        prob = math.prod(model.probs[v] for v in values)
-        if prob == 0.0:
-            continue
-        trace = run_online(ObservationSequence(values, model.k), policy, budget)
-        counts = counts_from_sequence(trace.corrected)
-        total += prob * l1_error(empirical_estimate(counts), model)
+    for prob, final in zip(probs.tolist(), counts.tolist()):
+        total += prob * l1_error(empirical_estimate(CountVector(tuple(final), n)), model)
     return total
 
 
 class TestRunOnline:
+    """One stream replayed online: ``replay_all`` on a 1-row array."""
+
     def test_zero_budget_passes_everything_through(self):
         theta = Categorical((0.4, 0.3, 0.3))
         policy, _ = solved_policy(theta, 6, 0)
-        seq = sample_sequence(theta, 6, Seed(12))
-        trace = run_online(seq, policy, 0)
-        assert trace.corrected == seq
-        assert trace.budget_spent == 0
+        (row,) = sample_sequence(theta, 6, [Seed(12)])
+        corrected, _, spent = replay_one(row, 3, policy, 0)
+        assert corrected == tuple(row.tolist())
+        assert spent == 0
 
     def test_seven_ones_lose_one(self):
         theta = Categorical((0.5, 0.5))
         policy, _ = solved_policy(theta, 10, 1)
-        seq = ObservationSequence((1, 1, 0, 1, 1, 1, 0, 0, 1, 1), 2)
-        trace = run_online(seq, policy, 1)
-        counts = counts_from_sequence(trace.corrected)
-        assert counts.counts == (4, 6)
-        assert online_error(seq, policy, 1, theta) == pytest.approx(0.2, abs=1e-12)
-        assert trace.budget_spent == 1
+        values = (1, 1, 0, 1, 1, 1, 0, 0, 1, 1)
+        corrected, counts, spent = replay_one(values, 2, policy, 1)
+        assert tally(corrected, 2).counts == counts == (4, 6)
+        assert online_error(values, policy, 1, theta) == pytest.approx(0.2, abs=1e-12)
+        assert spent == 1
 
     def test_changes_match_budget_spent(self):
         theta = Categorical((0.4, 0.3, 0.3))
         policy, _ = solved_policy(theta, 5, 2)
-        for trial in range(40):
-            seq = sample_sequence(theta, 5, Seed(1000).spawn(trial))
-            trace = run_online(seq, policy, 2)
-            diffs = sum(
-                1 for a, b in zip(seq.values, trace.corrected.values) if a != b
-            )
-            assert diffs == trace.budget_spent <= 2
-            assert trace.counts == counts_from_sequence(trace.corrected)
+        streams = sample_sequence(theta, 5, [Seed(1000).spawn(t) for t in range(40)])
+        for row in streams.tolist():
+            corrected, counts, spent = replay_one(row, 3, policy, 2)
+            diffs = sum(1 for a, b in zip(row, corrected) if a != b)
+            assert diffs == spent <= 2
+            assert counts == tally(corrected, 3).counts
 
     def test_change_with_no_budget_left_raises(self):
-        seq = ObservationSequence((0, 1, 1), 2)
         with pytest.raises(BudgetExhaustedError):
-            run_online(seq, AlwaysFlip(), 2)
+            replay_one((0, 1, 1), 2, AlwaysFlip(), 2)
 
     def test_online_never_beats_batch(self):
         theta = Categorical((0.4, 0.3, 0.3))
         policy, _ = solved_policy(theta, 5, 1)
-        seq = ObservationSequence((1, 2, 0, 2, 0), 3)
-        err = online_error(seq, policy, 1, theta)
-        batch = batch_correct(counts_from_sequence(seq), theta, 1).error
+        values = (1, 2, 0, 2, 0)
+        err = online_error(values, policy, 1, theta)
+        batch = batch_correct(tally(values, 3), theta, 1).error
         assert err >= batch - 1e-12
 
     def test_mismatched_policy_rejected(self):
         theta = Categorical((0.5, 0.5))
         policy, _ = solved_policy(theta, 4, 1)
-        seq = sample_sequence(theta, 4, Seed(3))
+        (row,) = sample_sequence(theta, 4, [Seed(3)])
         with pytest.raises(ValueError, match="solved for"):
-            run_online(seq, policy, 2)
+            replay_one(row, 2, policy, 2)
         with pytest.raises(ValueError, match="solved for"):
-            run_online(sample_sequence(theta, 5, Seed(3)), policy, 1)
+            replay_one(sample_sequence(theta, 5, [Seed(3)])[0], 2, policy, 1)
 
     def test_shared_policy_serves_exactly_its_start_budgets(self):
         theta = Categorical((0.5, 0.5))
         policy = solve(spec_for(theta, 4), (3, 0))
         assert policy.budgets == (0, 3)
-        seq = sample_sequence(theta, 4, Seed(3))
+        (row,) = sample_sequence(theta, 4, [Seed(3)])
         for budget in (0, 3):
-            assert run_online(seq, policy, budget) == stream_replay_trace(seq, policy, budget)
+            assert replay_one(row, 2, policy, budget) == stream_replay(row, 2, policy, budget)
         for budget in (1, 2, 4):
             with pytest.raises(ValueError, match="solved for"):
-                run_online(seq, policy, budget)
+                replay_one(row, 2, policy, budget)
 
 
 class TestBinomialPolicyAction:
@@ -172,13 +177,12 @@ class TestBinomialOptimality:
     @pytest.mark.parametrize("budget", [1, 2])
     def test_closed_form_attains_floor_on_every_sequence(self, budget):
         policy = BinomialThresholdPolicy(self.theta, self.n)
-        for values in itertools.product(range(2), repeat=self.n):
-            seq = ObservationSequence(values, 2)
+        streams = all_streams(2, self.n)
+        _, counts, _ = replay_all(streams, 2, policy, budget)
+        for row, final in zip(streams, counts.tolist()):
             floor = attainable_error(
-                self.n, self.theta, budget,
-                empirical_estimate(counts_from_sequence(seq)),
-            )
-            err = online_error(seq, policy, budget, self.theta)
+                self.n, self.theta, budget, empirical_estimate(tally(row, 2)))
+            err = l1_error(empirical_estimate(CountVector(tuple(final), self.n)), self.theta)
             assert err == pytest.approx(floor, abs=1e-12)
 
     def test_closed_form_expectation_matches_solver(self):
@@ -188,14 +192,34 @@ class TestBinomialOptimality:
         assert -expected == pytest.approx(root, abs=1e-12)
 
     def test_solved_policy_never_hurts_a_sequence(self):
+        streams = all_streams(2, self.n)
         for budget in (1, 2):
             policy, _ = solved_policy(self.theta, self.n, budget)
-            for values in itertools.product(range(2), repeat=self.n):
-                seq = ObservationSequence(values, 2)
-                original = l1_error(
-                    empirical_estimate(counts_from_sequence(seq)), self.theta
-                )
-                assert online_error(seq, policy, budget, self.theta) <= original + 1e-12
+            _, counts, _ = replay_all(streams, 2, policy, budget)
+            for row, final in zip(streams, counts.tolist()):
+                original = l1_error(empirical_estimate(tally(row, 2)), self.theta)
+                online = l1_error(
+                    empirical_estimate(CountVector(tuple(final), self.n)), self.theta)
+                assert online <= original + 1e-12
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        p=st.sampled_from([0.1, 0.2, 0.25, 0.3, 0.37, 0.4, 0.45, 0.5, 0.62]),
+        n=st.integers(1, 30),
+        budget=st.integers(0, 5),
+    )
+    def test_closed_form_value_is_optimal(self, p, n, budget):
+        # the second oracle for ``solve`` where brute force cannot reach
+        theta = Categorical((p, 1 - p))
+        expected = expected_online_error(BinomialThresholdPolicy(theta, n), theta, n, budget)
+        _, root = solved_policy(theta, n, budget)
+        assert abs(expected + root) <= 1e-12
+
+    def test_closed_form_value_is_optimal_at_long_horizon(self):
+        theta = Categorical((0.37, 0.63))
+        expected = expected_online_error(BinomialThresholdPolicy(theta, 200), theta, 200, 1)
+        _, root = solved_policy(theta, 200, 1)
+        assert abs(expected + root) <= 1e-12
 
 
 class TestMultinomialBehaviour:
@@ -205,10 +229,9 @@ class TestMultinomialBehaviour:
         theta = Categorical((0.4, 0.3, 0.3))
         policy, _ = solved_policy(theta, 5, 1)
         orig, online = [], []
-        for trial in range(60):
-            seq = sample_sequence(theta, 5, Seed(2000).spawn(trial))
-            orig.append(l1_error(empirical_estimate(counts_from_sequence(seq)), theta))
-            online.append(online_error(seq, policy, 1, theta))
+        for row in sample_sequence(theta, 5, [Seed(2000).spawn(t) for t in range(60)]):
+            orig.append(l1_error(empirical_estimate(tally(row, 3)), theta))
+            online.append(online_error(row, policy, 1, theta))
         assert sum(online) / len(online) <= sum(orig) / len(orig)
 
     def test_batch_lower_bounds_online_everywhere(self):
@@ -216,10 +239,10 @@ class TestMultinomialBehaviour:
         rng = random.Random(61)
         for budget in (0, 1, 2):
             policy, _ = solved_policy(theta, 5, budget)
-            for _ in range(40):
-                seq = sample_sequence(theta, 5, Seed(rng.randrange(2**32)))
-                err = online_error(seq, policy, budget, theta)
-                batch = batch_correct(counts_from_sequence(seq), theta, budget).error
+            seeds = [Seed(rng.randrange(2**32)) for _ in range(40)]
+            for row in sample_sequence(theta, 5, seeds):
+                err = online_error(row, policy, budget, theta)
+                batch = batch_correct(tally(row, 3), theta, budget).error
                 assert batch <= err + 1e-12
 
 
@@ -231,8 +254,7 @@ class TestExpectedOnlineError:
         # 1.5 on the two constant ones -> mean 0.75... computed directly:
         direct = 0.0
         for values in itertools.product(range(2), repeat=3):
-            counts = counts_from_sequence(ObservationSequence(values, 2))
-            direct += 0.125 * l1_error(empirical_estimate(counts), theta)
+            direct += 0.125 * l1_error(empirical_estimate(tally(values, 2)), theta)
         assert expected_online_error(policy, theta, 3, 0) == pytest.approx(
             direct, abs=1e-12
         )
@@ -273,10 +295,10 @@ class TestExpectedOnlineError:
             expected_online_error(policy, theta, 5, 1)
 
 
-def stream_replay(seq, policy, budget):
+def stream_replay(values, k, policy, budget):
     """Oracle for the all-trials replay: one stream, one state at a time."""
-    counts, remaining, corrected = (0,) * seq.k, budget, []
-    for y in seq.values:
+    counts, remaining, corrected = (0,) * k, budget, []
+    for y in values:
         arrived = list(counts)
         arrived[y] += 1
         state = TeacherState(tuple(arrived), remaining, y)
@@ -301,24 +323,19 @@ class AlwaysFlip:
         return Action(1 - state.last_obs)
 
 
-def streams_of(sequences):
-    return np.array([seq.values for seq in sequences])
-
-
 class TestReplayAll:
     @pytest.mark.parametrize("budget", [0, 1, 3])
     def test_matches_stream_by_stream_replay(self, budget):
         theta = Categorical((0.5, 0.5))
-        sequences = [ObservationSequence(v, 2) for v in itertools.product(range(2), repeat=7)]
+        streams = all_streams(2, 7)
         for policy in (BinomialThresholdPolicy(theta, 7), LeanToZero()):
-            corrected, counts, spent = replay_all(streams_of(sequences), 2, policy, budget)
-            for seq, row, final, used in zip(sequences, corrected, counts, spent):
-                assert (tuple(row), tuple(final), used) == stream_replay(seq, policy, budget)
+            corrected, counts, spent = replay_all(streams, 2, policy, budget)
+            for values, row, final, used in zip(streams.tolist(), corrected, counts, spent):
+                assert (tuple(row), tuple(final), used) == stream_replay(values, 2, policy, budget)
 
     def test_overspending_policy_raises_inside_a_batch(self):
-        sequences = [ObservationSequence(v, 2) for v in ((0, 1, 1), (1, 1, 0), (0, 0, 0))]
         with pytest.raises(BudgetExhaustedError):
-            replay_all(streams_of(sequences), 2, AlwaysFlip(), 2)
+            replay_all(np.array([(0, 1, 1), (1, 1, 0), (0, 0, 0)]), 2, AlwaysFlip(), 2)
 
     def test_asks_the_policy_once_per_distinct_state(self):
         asked = []
@@ -329,8 +346,7 @@ class TestReplayAll:
                 return super().action_for(state)
 
         # 18 replay steps, three distinct states per stream
-        sequences = [ObservationSequence((0, 1, 1), 2)] * 5 + [ObservationSequence((1, 1, 0), 2)]
-        replay_all(streams_of(sequences), 2, Recording(), 1)
+        replay_all(np.array([(0, 1, 1)] * 5 + [(1, 1, 0)]), 2, Recording(), 1)
         assert len(asked) == len(set(asked)) == 6
 
     @settings(max_examples=40, deadline=None)
@@ -342,16 +358,14 @@ class TestReplayAll:
     )
     def test_replays_spend_within_budget_and_keep_n_draws(self, probs, n, budgets, seed):
         theta = Categorical(probs)
-        sequences = [sample_sequence(theta, n, Seed(seed).spawn(t)) for t in range(8)]
-        streams = streams_of(sequences)
+        streams = sample_sequence(theta, n, [Seed(seed).spawn(t) for t in range(8)])
         policy = solve(spec_for(theta, n), budgets)
         for budget in budgets:
             corrected, counts, spent = replay_all(streams, theta.k, policy, budget)
             assert (spent <= budget).all()
             assert (spent == (corrected != streams).sum(axis=1)).all()
             assert (counts.sum(axis=1) == n).all()
-            tallies = [counts_from_sequence(ObservationSequence(row, theta.k)).counts
-                       for row in corrected.tolist()]
+            tallies = [tally(row, theta.k).counts for row in corrected]
             assert tallies == [tuple(row) for row in counts.tolist()]
 
 
@@ -359,13 +373,13 @@ class TestReplays:
     @pytest.mark.parametrize("budgets", [(0, 2, 1), (1, 1)])
     def test_matches_per_budget_solve_and_per_stream_replay(self, budgets):
         theta = Categorical((0.4, 0.3, 0.3))
-        sequences = [sample_sequence(theta, 5, Seed(77).spawn(t)) for t in range(10)]
+        streams = sample_sequence(theta, 5, [Seed(77).spawn(t) for t in range(10)])
         seen = []
         for budget, counts, spent in replays(
-            sequences, theta, l1_terminal_reward(theta), budgets
+            streams, theta, l1_terminal_reward(theta), budgets
         ):
             policy, _ = solved_policy(theta, 5, budget)
-            oracle = [stream_replay(seq, policy, budget) for seq in sequences]
+            oracle = [stream_replay(row, 3, policy, budget) for row in streams.tolist()]
             assert [tuple(row) for row in counts.tolist()] == [c for _, c, _ in oracle]
             assert spent.tolist() == [b for _, _, b in oracle]
             seen.append(budget)
@@ -380,13 +394,14 @@ class TestReplays:
 
         monkeypatch.setattr(teacher, "solve", counted)
         theta = Categorical((0.5, 0.5))
-        sequences = [sample_sequence(theta, 4, Seed(5).spawn(t)) for t in range(3)]
+        streams = sample_sequence(theta, 4, [Seed(5).spawn(t) for t in range(3)])
         budgets = [budget for budget, _, _ in replays(
-            sequences, theta, l1_terminal_reward(theta), (2, 0, 2))]
+            streams, theta, l1_terminal_reward(theta), (2, 0, 2))]
         assert budgets == [2, 0, 2]
         assert calls == [((2, 0, 2), {})]
 
     def test_no_sequences_rejected(self):
         theta = Categorical((0.5, 0.5))
-        with pytest.raises(ValueError, match="no sequences"):
-            next(replays([], theta, l1_terminal_reward(theta), (1,)))
+        with pytest.raises(ValueError, match="no streams"):
+            next(replays(np.empty((0, 4), dtype=np.int64), theta,
+                         l1_terminal_reward(theta), (1,)))
