@@ -3,14 +3,18 @@
 Outcome alphabets are indexed 0..K-1 where K is the number of distinct
 values (K >= 2 everywhere). All types are immutable; sampling takes an
 explicit seed per stream, so there is no shared generator state to protect.
-A stream is a row of an int array of outcome indices.
+A stream is a row of an int array of outcome indices. Its uniforms are
+numpy's ``SeedSequence -> PCG64 -> Generator.random`` stream for its seed,
+rebuilt bit for bit for every seed in one vectorised pass; ``Seed.rng()``
+builds numpy's own generator and remains only for ``bounds``.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -85,8 +89,21 @@ class Seed:
         return np.random.Generator(np.random.PCG64(np.random.SeedSequence(self.value)))
 
     def spawn(self, *key: int) -> "Seed":
-        ss = np.random.SeedSequence([self.value, *key])
-        return Seed(int(ss.generate_state(1, np.uint64)[0]))
+        (child,) = self.spawn_many([key])
+        return child
+
+    def spawn_many(self, keys: Sequence[Sequence[int]]) -> list["Seed"]:
+        """``[self.spawn(*key) for key in keys]`` in one pass: the first
+        word numpy's ``SeedSequence([value, *key])`` generates. Keys are
+        equally long, of integers in [0, 2**64)."""
+        if not keys:
+            return []
+        try:
+            rows = [(self.value, *map(operator.index, key)) for key in keys]
+            entries = np.array(rows, dtype=np.uint64)
+        except OverflowError as exc:
+            raise ValueError("spawn keys must be integers in [0, 2**64)") from exc
+        return [Seed(v) for v in _seed_words(entries, 1)[:, 0].tolist()]
 
 
 def empirical_estimate(counts: CountVector) -> Categorical:
@@ -104,6 +121,95 @@ def l1_error(a: Categorical, b: Categorical) -> float:
     return math.fsum(abs(x - y) for x, y in zip(a.probs, b.probs))
 
 
+# numpy's SeedSequence (4-word pool) and PCG64 constants.
+_M32 = 0xFFFFFFFF
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _hasher(const: int, mult: int) -> Callable[[np.ndarray], np.ndarray]:
+    """numpy's SeedSequence word hash, whose constant advances per call."""
+    def hash_words(value: np.ndarray) -> np.ndarray:
+        nonlocal const
+        value = value ^ np.uint32(const)
+        const = const * mult & _M32
+        value = value * np.uint32(const)
+        return value ^ (value >> 16)
+    return hash_words
+
+
+def _seed_words(entries: np.ndarray, n_words: int) -> np.ndarray:
+    """``SeedSequence(list(row)).generate_state(n_words, np.uint64)`` for
+    every row of a (rows x m) uint64 array, as a (rows x n_words) array."""
+    # numpy coerces each entry to its little-endian 32-bit words, the high
+    # one only when nonzero; words past a row's length stay zero.
+    rows, m = entries.shape
+    words = np.zeros((rows, max(2 * m, 4)), dtype=np.uint32)
+    length = np.zeros(rows, dtype=np.intp)
+    every = np.arange(rows)
+    for entry in entries.T:
+        words[every, length] = entry & _M32
+        words[every, length + 1] = entry >> 32  # the next entry overwrites a zero
+        length += 1 + (entry >> 32 > 0)
+
+    def mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        result = np.uint32(_MIX_L) * x - np.uint32(_MIX_R) * y
+        return result ^ (result >> 16)
+
+    hashmix = _hasher(_INIT_A, _MULT_A)
+    pool = [hashmix(words[:, i]) for i in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for src in range(4, words.shape[1]):
+        for dst in range(4):
+            mixed = mix(pool[dst], hashmix(words[:, src]))
+            pool[dst] = np.where(src < length, mixed, pool[dst])
+    generate = _hasher(_INIT_B, _MULT_B)
+    out = np.column_stack([generate(pool[i % 4]) for i in range(2 * n_words)])
+    return out.astype("<u4").view("<u8").astype(np.uint64)
+
+
+def _mul128(a_hi, a_lo, b_hi, b_lo):
+    """(a * b) mod 2**128 on (high, low) uint64 limbs, with broadcasting."""
+    a1, a0, b1, b0 = a_lo >> 32, a_lo & _M32, b_lo >> 32, b_lo & _M32
+    low, cross, cross2 = a0 * b0, a0 * b1, a1 * b0
+    mid = (low >> 32) + (cross & _M32) + (cross2 & _M32)
+    hi = a1 * b1 + (cross >> 32) + (cross2 >> 32) + (mid >> 32) + a_hi * b_lo + a_lo * b_hi
+    return hi, a_lo * b_lo
+
+
+def _add128(a_hi, a_lo, b_hi, b_lo):
+    lo = a_lo + b_lo
+    return a_hi + b_hi + (lo < a_lo), lo
+
+
+def _uniforms(values: np.ndarray, n: int) -> np.ndarray:
+    """Row i is ``Seed(values[i]).rng().random(n)``, computed without a
+    generator: t PCG64 steps take a state x to M**t * x + G_t * inc, with
+    G_t = sum(M**j for j < t) mod 2**128."""
+    seed_hi, seed_lo, inc_hi, inc_lo = _seed_words(values[:, None], 4).T[:, :, None]
+    inc_hi, inc_lo = (inc_hi << 1) | (inc_lo >> 63), (inc_lo << 1) | 1  # 2 * stream + 1
+
+    def jump(power: int, total: int, hi: np.ndarray, lo: np.ndarray):
+        (p_hi, p_lo), (t_hi, t_lo) = (
+            np.array([[c >> 64], [c & 2**64 - 1]], np.uint64) for c in (power, total))
+        return _add128(*_mul128(p_hi, p_lo, hi, lo), *_mul128(t_hi, t_lo, inc_hi, inc_lo))
+
+    # Seeding is one step from seed + inc; the first draw reads the next state.
+    power, total = _PCG_MULT, 1
+    hi, lo = jump(power**2 % 2**128, 1 + power, *_add128(seed_hi, seed_lo, inc_hi, inc_lo))
+    while hi.shape[1] < n:  # the m states so far, jumped m steps on, are the next m
+        ahead = jump(power, total, hi[:, :n - hi.shape[1]], lo[:, :n - hi.shape[1]])
+        hi, lo = np.hstack((hi, ahead[0])), np.hstack((lo, ahead[1]))
+        power, total = power**2 % 2**128, total * (1 + power) % 2**128
+    out, rot = hi ^ lo, hi >> 58  # XSL-RR output
+    out = (out >> rot) | (out << ((np.uint64(64) - rot) & np.uint64(63)))
+    return (out >> 11) * (1.0 / 2**53)
+
+
 def sample_sequence(dist: Categorical, n: int, seeds: Sequence[Seed]) -> np.ndarray:
     """Draw n i.i.d. observations from ``dist`` per seed, as the rows of a
     (len(seeds), n) int array of outcome indices.
@@ -114,7 +220,7 @@ def sample_sequence(dist: Categorical, n: int, seeds: Sequence[Seed]) -> np.ndar
     """
     if n < 1:
         raise ValueError("need at least one draw")
-    u = np.array([seed.rng().random(n) for seed in seeds]).reshape(len(seeds), n)
+    u = _uniforms(np.array([seed.value for seed in seeds], dtype=np.uint64), n)
     idx = np.searchsorted(np.cumsum(dist.probs), u, side="right")
     # The cumulative sum can undershoot 1.0 by an ulp; clamp the
     # (measure-zero) overflow.

@@ -225,7 +225,7 @@ def _run_correction_records(config: ExperimentConfig, with_attainable: bool) -> 
         )
     (n,) = config.n_values
     seed = Seed(config.seed)
-    streams = sample_sequence(theta0, n, [seed.spawn(t) for t in range(config.trials)])
+    streams = sample_sequence(theta0, n, seed.spawn_many([(t,) for t in range(config.trials)]))
     originals = (streams[:, :, None] == np.arange(theta0.k)).sum(axis=1)
 
     def error(counts: CountVector) -> float:
@@ -283,7 +283,8 @@ def run_variance_sweep(config: ExperimentConfig) -> list[Row]:
     reward = l1_terminal_reward(theta0)
     rows = []
     for n in config.n_values:
-        streams = sample_sequence(theta0, n, [seed.spawn(n, t) for t in range(config.trials)])
+        seeds = seed.spawn_many([(n, t) for t in range(config.trials)])
+        streams = sample_sequence(theta0, n, seeds)
         for budget, counts, _ in replays(streams, theta0, reward, config.budgets):
             estimates = np.array(
                 per_distinct_counts(lambda c: empirical_estimate(c).probs, counts, n))

@@ -155,7 +155,7 @@ def misclassification_experiment(
         raise ValueError("need at least one trial")
     true_dist = candidates.by_label(theta0_label).action_dist
     reward = bio_terminal_reward(theta0_label, candidates)
-    streams = sample_sequence(true_dist, n, [seed.spawn(trial) for trial in range(trials)])
+    streams = sample_sequence(true_dist, n, seed.spawn_many([(t,) for t in range(trials)]))
     rates: dict[int, float] = {}
     for budget, counts, _ in replays(streams, true_dist, reward, budgets):
         labels = per_distinct_counts(lambda c: ml_estimate(c, candidates), counts, n)

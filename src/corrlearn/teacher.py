@@ -29,6 +29,7 @@ from .core import Categorical, CountVector
 from .dp import solve
 from .mdp import (
     Action,
+    BudgetExhaustedError,
     MdpSpec,
     TeacherState,
     TerminalReward,
@@ -53,12 +54,16 @@ def _check_policy(policy: TeacherPolicy, k: int, n: int, budget: int) -> None:
         )
 
 
-def _distinct_rows(rows: np.ndarray) -> tuple[dict[tuple[int, ...], int], list[int]]:
-    """The distinct rows of a 2-D int array, in first-seen order, and the
+def _distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of a 2-D int array, in sorted order, and the
     position of each row among them."""
-    index: dict[tuple[int, ...], int] = {}
-    which = [index.setdefault(row, len(index)) for row in map(tuple, rows.tolist())]
-    return index, which
+    order = np.lexsort(rows.T[::-1])
+    ordered = rows[order]
+    first = np.ones(len(rows), dtype=bool)
+    first[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    which = np.empty(len(rows), dtype=np.intp)
+    which[order] = np.cumsum(first) - 1
+    return ordered[first], which
 
 
 def replay_all(
@@ -66,24 +71,32 @@ def replay_all(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Replay the rows of ``streams`` (trials x n) stage by stage, asking
     ``policy`` once per distinct (counts, remaining, observation) state
-    among them. Returns the corrected streams, the final counts (trials x
-    k) and the budget each trial spent."""
+    among them and applying its decisions to every trial at once, with
+    ``apply_action``'s checks. Returns the corrected streams, the final
+    counts (trials x k) and the budget each trial spent."""
     trials, n = streams.shape
     _check_policy(policy, k, n, budget)
     corrected = np.empty_like(streams)
     counts = np.zeros((trials, k), dtype=np.int64)
     remaining = np.full(trials, budget, dtype=np.int64)
+    every = np.arange(trials)
     for t in range(n):
-        counts[np.arange(trials), streams[:, t]] += 1
-        states, which = _distinct_rows(np.column_stack((counts, remaining, streams[:, t])))
-        decided = []
-        for *arrived, left, y in states:
-            state = TeacherState(tuple(arrived), left, y)
-            action = policy.action_for(state)
-            after, left_after = apply_action(state, action)
-            decided.append((*after, left_after, action.target))
-        decided = np.array(decided)[which]
-        counts, remaining, corrected[:, t] = decided[:, :k], decided[:, k], decided[:, k + 1]
+        observed = streams[:, t]
+        counts[every, observed] += 1
+        states, which = _distinct_rows(np.column_stack((counts, remaining, observed)))
+        targets = np.array([
+            policy.action_for(TeacherState(tuple(arrived), left, y)).target
+            for *arrived, left, y in states.tolist()
+        ], dtype=np.int64)
+        outside = (targets < 0) | (targets >= k)
+        if outside.any():
+            raise ValueError(f"action target {targets[outside][0]} outside the alphabet")
+        if ((targets != states[:, k + 1]) & (states[:, k] < 1)).any():
+            raise BudgetExhaustedError("budget exhausted")
+        corrected[:, t] = target = targets[which]
+        counts[every, observed] -= 1
+        counts[every, target] += 1
+        remaining -= target != observed
     return corrected, counts, budget - remaining
 
 
@@ -111,8 +124,8 @@ def per_distinct_counts(f: Callable[[CountVector], Any], counts: np.ndarray, n: 
     """``f`` of each row of a (trials x k) count array, such as a replay's
     final counts, in trial order, evaluated once per distinct row."""
     distinct, which = _distinct_rows(counts)
-    values = [f(CountVector(row, n)) for row in distinct]
-    return [values[i] for i in which]
+    values = [f(CountVector(row, n)) for row in distinct.tolist()]
+    return [values[i] for i in which.tolist()]
 
 
 @dataclass(frozen=True)

@@ -3,7 +3,10 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from corrlearn import core
 from corrlearn.core import (
     Categorical,
     CountVector,
@@ -170,6 +173,83 @@ class TestSeed:
             Seed(-1)
         with pytest.raises(ValueError):
             Seed(2**64)
+
+
+EDGE_SEEDS = (0, 2**32 - 1, 2**32, 2**63, 2**64 - 1)
+# Keys mix entries below and above 2**32, so numpy's SeedSequence pool
+# takes one- and two-word entropy.
+KEY_ENTRIES = st.one_of(st.integers(0, 2**32 - 1), st.integers(2**32, 2**64 - 1))
+
+
+def numpy_spawn(value, key):
+    return int(np.random.SeedSequence([value, *key]).generate_state(1, np.uint64)[0])
+
+
+def numpy_uniforms(value, n):
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(value))).random(n)
+
+
+class TestStreamKernel:
+    """The vectorised SeedSequence -> PCG64 -> random kernel against numpy."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        value=st.one_of(st.sampled_from(EDGE_SEEDS), st.integers(0, 2**64 - 1)),
+        keys=st.integers(1, 3).flatmap(
+            lambda m: st.lists(st.tuples(*[KEY_ENTRIES] * m), min_size=1, max_size=4)),
+    )
+    def test_spawn_matches_seed_sequence(self, value, keys):
+        expected = [numpy_spawn(value, key) for key in keys]
+        assert [s.value for s in Seed(value).spawn_many(keys)] == expected
+        assert Seed(value).spawn(*keys[0]).value == expected[0]
+
+    @pytest.mark.parametrize("value", EDGE_SEEDS)
+    @pytest.mark.parametrize("key", [(), (0,), (2**32 - 1, 2**32), (5, 2**64 - 1, 7)])
+    def test_spawn_at_edge_seeds(self, value, key):
+        assert Seed(value).spawn(*key).value == numpy_spawn(value, key)
+
+    @pytest.mark.parametrize("n", [1, 5, 40])
+    def test_uniforms_at_edge_seeds(self, n):
+        uniforms = core._uniforms(np.array(EDGE_SEEDS, dtype=np.uint64), n)
+        assert np.array_equal(uniforms, [numpy_uniforms(v, n) for v in EDGE_SEEDS])
+
+    @settings(max_examples=100, deadline=None)
+    @given(values=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=5),
+           n=st.sampled_from([1, 5, 40]))
+    def test_uniforms_match_pcg64(self, values, n):
+        uniforms = core._uniforms(np.array(values, dtype=np.uint64), n)
+        assert np.array_equal(uniforms, [numpy_uniforms(v, n) for v in values])
+
+    def test_long_row(self):
+        (row,) = core._uniforms(np.array([2**64 - 1], dtype=np.uint64), 100_000)
+        assert np.array_equal(row, numpy_uniforms(2**64 - 1, 100_000))
+
+    def test_no_per_seed_generator(self, monkeypatch):
+        # Streams and batch spawns must not fall back to one numpy
+        # SeedSequence/PCG64 per seed, and spawning calls no np.unique.
+        def refuse(*args, **kwargs):
+            raise AssertionError("per-seed numpy generator built")
+
+        for name in ("SeedSequence", "PCG64"):
+            monkeypatch.setattr(core.np.random, name, refuse)
+        monkeypatch.setattr(core.np, "unique", refuse)
+        seeds = Seed(7).spawn_many([(25, t) for t in range(2000)])
+        assert Seed(7).spawn(25, 0) == seeds[0]
+        streams = sample_sequence(Categorical((0.4, 0.3, 0.3)), 25, seeds)
+        assert streams.shape == (2000, 25)
+
+    def test_bad_keys_rejected(self):
+        with pytest.raises(TypeError):
+            Seed(1).spawn(1.5)
+        with pytest.raises(ValueError):
+            Seed(1).spawn(-1)
+        with pytest.raises(ValueError):
+            Seed(1).spawn(2**64)
+        with pytest.raises(ValueError):
+            Seed(1).spawn_many([(1,), (1, 2)])
+
+    def test_no_keys_give_no_seeds(self):
+        assert Seed(1).spawn_many([]) == []
 
 
 class TestCountVector:

@@ -337,6 +337,21 @@ class TestReplayAll:
         with pytest.raises(BudgetExhaustedError):
             replay_all(np.array([(0, 1, 1), (1, 1, 0), (0, 0, 0)]), 2, AlwaysFlip(), 2)
 
+    @pytest.mark.parametrize("target", [2, -1])
+    def test_out_of_alphabet_target_raises_inside_a_batch(self, target):
+        class Outside:
+            def action_for(self, state):
+                return Action(target if state.stage == 2 else state.last_obs)
+
+        with pytest.raises(ValueError, match=f"action target {target} outside the alphabet"):
+            replay_all(np.array([(0, 1, 1), (1, 1, 0), (0, 0, 0)]), 2, Outside(), 1)
+
+    def test_distinct_rows_are_sorted_with_each_rows_position(self):
+        rows = np.array([(1, 0, 2), (0, 3, 1), (1, 0, 2), (0, 3, 0)])
+        distinct, which = teacher._distinct_rows(rows)
+        assert distinct.tolist() == [[0, 3, 0], [0, 3, 1], [1, 0, 2]]
+        assert which.tolist() == [2, 1, 2, 0]
+
     def test_asks_the_policy_once_per_distinct_state(self):
         asked = []
 
