@@ -299,11 +299,11 @@ def run_variance_sweep(config: ExperimentConfig) -> list[Row]:
 
 def run_bounds(config: ExperimentConfig) -> list[Row]:
     """One Monte-Carlo bound report per (n, m, budget) grid point."""
-    seed = Seed(config.seed)
-    reports = [
-        monte_carlo_report(n, m, budget, config.trials, seed.spawn(n, m, budget))
-        for n in config.n_values for m in config.m_values for budget in config.budgets
-    ]
+    grid = [(n, m, budget)
+            for n in config.n_values for m in config.m_values for budget in config.budgets]
+    seeds = Seed(config.seed).spawn_many(grid)
+    reports = [monte_carlo_report(*point, config.trials, seed)
+               for point, seed in zip(grid, seeds)]
     return [{
         "N": r.n, "M": r.m, "B": r.b, "trials": r.trials,
         "bound_abs": r.bound_abs, "bound_ratio_paper": r.bound_ratio_paper,

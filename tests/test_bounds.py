@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +10,10 @@ from hypothesis import strategies as st
 from stat_helpers import sample_variance_se, uniform_central_moments
 
 from corrlearn.bounds import (
+    CHUNK_ROWS,
+    MIN_TRIALS,
+    BoundReport,
+    _check_grid,
     monte_carlo_report,
     project_sum,
     uniform_variance,
@@ -181,6 +186,80 @@ class TestMonteCarloReport:
         with pytest.raises(ValueError):
             monte_carlo_report(10, 3, 0, 2_000, Seed(1), dist=Categorical((0.5, 0.5)))
 
+    def test_traced_memory_does_not_grow_with_n(self):
+        # a whole (trials, n) draw matrix would take 8n = 200 bytes a trial
+        trials = 200_000
+        monte_carlo_report(25, 4, 3, MIN_TRIALS, Seed(7))  # first-call set-up
+        tracemalloc.start()
+        try:
+            monte_carlo_report(25, 4, 3, trials, Seed(7))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * trials
+
+
+def one_shot_report(n, m, b, trials, seed, dist=None):
+    """``monte_carlo_report`` drawing the whole (trials, n) matrix at once
+    and projecting through both clipped candidates: the reference the
+    blocked kernel must match bit for bit."""
+    _check_grid(n, m, b)
+    rng = seed.rng()
+    if dist is None:
+        draws = rng.integers(0, m + 1, size=(trials, n))
+        mu = m / 2.0
+    else:
+        cum = np.cumsum(dist.probs)
+        draws = np.minimum(np.searchsorted(cum, rng.random((trials, n)), side="right"), m)
+        mu = float(sum(v * p for v, p in enumerate(dist.probs)))
+    y = draws.sum(axis=1)
+    target = n * mu
+    lo = np.maximum(y - b, 0)
+    hi = np.minimum(y + b, n * m)
+    z_f = np.clip(math.floor(target), lo, hi)
+    z_c = np.clip(math.ceil(target), lo, hi)
+    y_tilde = np.where(np.abs(z_c - target) < np.abs(z_f - target), z_c, z_f)
+    var_orig = float(np.var(y, ddof=1)) / (n * n)
+    var_corr = float(np.var(y_tilde, ddof=1)) / (n * n)
+    return BoundReport(
+        n=n, m=m, b=b, trials=trials,
+        bound_abs=var_bound_abs(n, m, b),
+        bound_ratio_paper=var_bound_ratio_paper(n, m, b),
+        empirical_var_original=var_orig,
+        empirical_var_corrected=var_corr,
+        empirical_ratio=var_corr / var_orig if var_orig > 0 else math.nan,
+    )
+
+
+def oracle_sources(m):
+    """Uniform draws and two skewed distributions on {0..m}, one of them
+    with a value of probability 0."""
+    rising = np.arange(1, m + 2, dtype=float)
+    gapped = np.r_[0.0, np.ones(m)]
+    return [None, Categorical(tuple(rising / rising.sum())),
+            Categorical(tuple(gapped / gapped.sum()))]
+
+
+class TestBlockedKernel:
+    """The blocked draws and one-clip projection against the one-shot
+    reference, on trial counts either side of the block edges. Odd n*m
+    gives a half-integer uniform target, where the tie rule decides."""
+
+    @pytest.mark.parametrize("trials", [
+        MIN_TRIALS, CHUNK_ROWS - 1, CHUNK_ROWS, CHUNK_ROWS + 1, 3 * CHUNK_ROWS + 17,
+    ])
+    def test_matches_one_shot_reference(self, trials):
+        differ = []
+        for n in (1, 3, 7, 25):
+            for m in (1, 2, 3, 4):
+                for b in sorted({0, 1, n * m // 2, n * m}):
+                    for i, dist in enumerate(oracle_sources(m)):
+                        seed = Seed(11).spawn(trials, n, m, b, i)
+                        got = monte_carlo_report(n, m, b, trials, seed, dist)
+                        want = one_shot_report(n, m, b, trials, seed, dist)
+                        if repr(got) != repr(want):
+                            differ.append((n, m, b, i))
+        assert differ == []
 
 
 def sum_pmf(n, probs):

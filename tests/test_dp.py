@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -326,3 +327,100 @@ class TestPolicyDump:
         lines = policy_dump(policy).strip().split("\n")
         stage1 = [line for line in lines if line.startswith("1,")]
         assert stage1 == ["1,0|1,1,1,keep", "1,1|0,1,0,keep"]
+
+
+def exact_pair_value(thetas, n):
+    """W(counts, budget) of the post-decision pair in exact arithmetic, for
+    the source whose probabilities are the decimal strings ``thetas``;
+    zero-probability outcomes are skipped, as ``arrivals`` does."""
+    probs = [Fraction(t) for t in thetas]
+    memo = {}
+
+    def w(counts, budget):
+        if (counts, budget) not in memo:
+            if sum(counts) == n:
+                value = -sum(abs(Fraction(c, n) - p) for c, p in zip(counts, probs))
+            else:
+                value = Fraction(0)
+                for v, p in enumerate(probs):
+                    if p:
+                        nxt = list(counts)
+                        nxt[v] += 1
+                        state = TeacherState(tuple(nxt), budget, v)
+                        value += p * max(w(*apply_action(state, a))
+                                         for a in feasible_actions(state, len(probs)))
+            memo[counts, budget] = value
+        return memo[counts, budget]
+
+    return w
+
+
+def float_pair_value(policy, spec):
+    """W(counts, budget) in floats from ``policy.values``, added in
+    outcome order as ``solve`` adds it."""
+    def w(counts, budget):
+        if sum(counts) == spec.n:
+            return spec.reward.evaluate(CountVector(counts, spec.n))
+        total = 0.0
+        for state, p in arrivals(counts, budget, spec):
+            total += p * value_at(policy, state)
+        return total
+
+    return w
+
+
+def choices(thetas, n, budgets):
+    """(spec, policy, state, feasible actions) for every state of one
+    float solve at which the teacher has more than one action."""
+    theta = Categorical(tuple(float(t) for t in thetas))
+    spec = spec_for(theta, n)
+    policy = solve(spec, budgets)
+    for stage in policy.stages.values():
+        for state in stage:
+            actions = feasible_actions(state, spec.k)
+            if len(actions) > 1:
+                yield spec, policy, state, actions
+
+
+# theta = (p, 1 - p) for p in {.45, .35, .3, .25}, n in {10, 20}, budgets 0-3
+K2_TIE_GRID = [((p, q), n) for p, q in (("0.45", "0.55"), ("0.35", "0.65"),
+                                        ("0.3", "0.7"), ("0.25", "0.75"))
+               for n in (10, 20)]
+
+
+class TestExactTies:
+    """``solve`` against backward induction in ``fractions.Fraction``. The
+    float policy must take the exact optimum at every strict decision; at
+    an exact tie the float rounding of the rewards may pick either side."""
+
+    @pytest.mark.parametrize("thetas,n,budgets", [
+        *[(thetas, n, (0, 1, 2, 3)) for thetas, n in K2_TIE_GRID],
+        (("0.4", "0.35", "0.25"), 6, (0, 1, 2)),
+        (("0.1", "0.2", "0.3", "0.4"), 4, (1, 2)),
+        (("0.5", "0.5", "0"), 6, (1, 2)),
+    ])
+    def test_float_policy_takes_an_exact_optimum(self, thetas, n, budgets):
+        w = exact_pair_value(thetas, n)
+        wrong = []
+        for _, policy, state, actions in choices(thetas, n, budgets):
+            exact = {a: w(*apply_action(state, a)) for a in actions}
+            if exact[policy.action_for(state)] != max(exact.values()):
+                wrong.append(state)
+        assert wrong == []
+
+    def test_count_of_ties_rounding_decides_on_the_k2_grid(self):
+        with_choice = ties = rounded = 0
+        for thetas, n in K2_TIE_GRID:
+            w = exact_pair_value(thetas, n)
+            for spec, policy, state, actions in choices(thetas, n, (0, 1, 2, 3)):
+                fw = float_pair_value(policy, spec)
+                with_choice += 1
+                keep, change = (apply_action(state, a) for a in actions)
+                if w(*keep) == w(*change):
+                    ties += 1
+                    gap = abs(fw(*keep) - fw(*change))
+                    if gap:
+                        rounded += 1
+                        assert gap < 2e-16
+        # 412 of the exact ties are float ties too, which keep wins
+        assert (with_choice, ties, rounded) == (6360, 468, 56)

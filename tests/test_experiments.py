@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from corrlearn import cli, dp, experiments, teacher
+from corrlearn import bounds, cli, dp, experiments, teacher
 from corrlearn.batch import e_min
 from corrlearn.core import Categorical, Seed, sample_sequence
 from corrlearn.dp import DEFAULT_STATE_CEILING, Policy
@@ -358,6 +358,17 @@ class TestCli:
                 "--budgets", "0,1"]
         assert cli.main(argv) == 3
         assert "exceeds the ceiling" in capsys.readouterr().err
+
+    def test_trials_over_the_ceiling_exit_3_before_drawing(self, monkeypatch, capsys):
+        def rng(self):
+            raise AssertionError("a generator was built")
+
+        monkeypatch.setattr(bounds, "MAX_TRIALS", 1500)
+        monkeypatch.setattr(Seed, "rng", rng)
+        argv = ["bounds", "--seed", "1", "--trials", "1501", "--n-values", "25",
+                "--m-values", "4", "--budgets", "3"]
+        assert cli.main(argv) == 3
+        assert "1501 trials exceed the ceiling 1500" in capsys.readouterr().err
 
     def test_variance_with_one_trial_exits_2(self, capsys):
         argv = ["variance", "--seed", "1", "--n-values", "4", "--budgets", "0", "--trials", "1"]

@@ -40,6 +40,11 @@ EXPERIMENTS = {
         "bounds", "--seed", "7", "--n-values", "5,10", "--m-values", "1,3",
         "--budgets", "0,1,3", "--trials", "1000",
     ],
+    # 20,000 trials cross block edges of the Monte-Carlo draws
+    "bounds_chunked": [
+        "bounds", "--seed", "7", "--trials", "20000", "--n-values", "5,25",
+        "--m-values", "1,4", "--budgets", "0,3",
+    ],
     "bio_small": [
         "bio", "--seed", "7", "--n-values", "4,6", "--budgets", "0,1,2",
         "--trials", "20",
