@@ -54,7 +54,7 @@ def e_min(n: int, theta0: Categorical) -> EMin:
     """
     if n < 1:
         raise ValueError("need at least one sample")
-    counts = CountVector(_apportion(theta0, n), n)
+    counts = CountVector(_apportion(theta0, n))
     return EMin(l1_error(empirical_estimate(counts), theta0), counts)
 
 
@@ -124,6 +124,5 @@ def batch_correct(
     n = counts.total
     if n < 1:
         raise ValueError("no observations")
-    corrected = _greedy_correct(counts.counts, theta0, budget, n)
-    corrected_cv = CountVector(corrected, counts.n_target)
-    return BatchResult(corrected_cv, l1_error(empirical_estimate(corrected_cv), theta0))
+    corrected = CountVector(_greedy_correct(counts.counts, theta0, budget, n))
+    return BatchResult(corrected, l1_error(empirical_estimate(corrected), theta0))

@@ -9,41 +9,42 @@ what the test suite asserts.
 A ratio-form bound (6M/(5M+1)) exp(.) also circulates; its derivation
 normalises by a per-draw variance of (5M^2+M)/6, which overstates the
 true Unif{0..M} variance M(M+2)/12. The ratio bound is therefore reported
-for reference but never asserted; ``uniform_variance`` returns both
-constants so the discrepancy stays visible. Exact variances (Y's pmf by
+for reference but never asserted. Exact variances (Y's pmf by
 convolution) show it still holds for N <= 40, M in {1,2,3,4,6,8},
 B <= min(NM, 30): the ratio meets it only at B=0, M=1, where nothing
 moves, and stays below 0.775 of it for B >= 1, so only Monte-Carlo noise
 can put the empirical ratio above it. ``monte_carlo_report`` returns a
 ``BoundReport``; the ``bounds`` experiment lays out its columns.
 
-``monte_carlo_report`` draws in blocks of ``CHUNK_ROWS`` rows from the
-one generator and keeps only the per-trial sums, so its memory is
-O(trials) whatever n is, and its numbers are those of one (trials, n)
-draw. More than ``MAX_TRIALS`` trials raise ``CeilingExceededError``
-(exit 3) before any draw.
+``monte_carlo_report`` draws uniformly in blocks of at most
+``CHUNK_ROWS`` rows and ``CHUNK_ROWS * 25`` values from the one generator
+and keeps only the per-trial sums, so its memory is O(trials) whatever n
+is, and its numbers are those of one (trials, n) draw. ``check_point``
+rejects a grid point or trial count as bad input (``ConfigError``, exit 2)
+and more than ``MAX_TRIALS`` trials with ``CeilingExceededError`` (exit 3),
+before any draw.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
-from .core import Categorical, Seed
+from .core import ConfigError, Seed
 from .dp import CeilingExceededError
 
 MIN_TRIALS = 1000
-# Rows of draws held at once: 8192-16384 ran the 36-point, 100k-trial
-# ``bounds`` grid fastest; 2048 and 65536 took ~10% longer.
+# Rows of draws held at once up to n = 25, fewer beyond so that a block
+# stays at CHUNK_ROWS * 25 values: 8192-16384 rows ran the 36-point,
+# 100k-trial ``bounds`` grid fastest; 2048 and 65536 took ~10% longer.
 CHUNK_ROWS = 8192
 # A grid point's peak RSS grows by 32 bytes per trial whatever n is (VmHWM
-# growth at 2-4M trials, n in {5, 25, 100}, uniform and ``dist`` draws,
-# Python 3.11), so 50M trials at up to ~40 bytes each stays near the
-# solver ceiling's ~2 GB.
+# growth at 2-4M trials, n in {5, 25, 100}, Python 3.11), so 50M trials at
+# up to ~40 bytes each stays near the solver ceiling's ~2 GB.
 MAX_TRIALS = 50_000_000
+
 
 @dataclass(frozen=True)
 class BoundReport:
@@ -56,11 +57,6 @@ class BoundReport:
     empirical_var_original: float
     empirical_var_corrected: float
     empirical_ratio: float
-
-
-class UniformVariance(NamedTuple):
-    stated: float     # (5M^2 + M) / 6, as used in the ratio bound's derivation
-    corrected: float  # M(M+2)/12, the actual variance of Unif{0..M}
 
 
 def project_sum(y: int, target: float, budget: int, upper: int | None = None) -> int:
@@ -102,67 +98,48 @@ def var_bound_ratio_paper(n: int, m: int, b: int) -> float:
 
 def _check_grid(n: int, m: int, b: int) -> None:
     if n < 1 or m < 1:
-        raise ValueError("n and m must be positive")
+        raise ConfigError("n and m must be positive")
+    if n * m >= 2**63:
+        raise ConfigError("n*m must stay below 2**63, the int64 range of the sums")
     if not 0 <= b <= n * m:
-        raise ValueError("budget must lie in [0, n*m]")
+        raise ConfigError("budget must lie in [0, n*m]")
 
 
-def uniform_variance(m: int) -> UniformVariance:
-    """Both per-draw variance constants for Unif{0..M}: the one the ratio
-    bound's derivation uses and the true one."""
-    if m < 1:
-        raise ValueError("m must be positive")
-    return UniformVariance(stated=(5 * m * m + m) / 6.0, corrected=m * (m + 2) / 12.0)
-
-
-def monte_carlo_report(
-    n: int,
-    m: int,
-    b: int,
-    trials: int,
-    seed: Seed,
-    dist: Categorical | None = None,
-) -> BoundReport:
-    """Empirical variances of the raw and corrected mean estimates.
-
-    Draws ``trials`` sums of n values on {0..m} (uniform unless ``dist``
-    is given), projects each sum by at most b units toward n*mu, and
-    returns sample variances of both scaled sums next to the analytic
-    bounds. Deterministic per seed.
-    """
+def check_point(n: int, m: int, b: int, trials: int) -> None:
+    """Raise what ``monte_carlo_report(n, m, b, trials, ...)`` would raise
+    before drawing: ``ConfigError`` or ``CeilingExceededError``."""
     _check_grid(n, m, b)
     if trials < MIN_TRIALS:
-        raise ValueError(f"need at least {MIN_TRIALS} trials")
-    if dist is not None and dist.k != m + 1:
-        raise ValueError(f"distribution has {dist.k} values, expected {m + 1}")
+        raise ConfigError(f"need at least {MIN_TRIALS} trials")
     if trials > MAX_TRIALS:
         raise CeilingExceededError(
             f"{trials} trials exceed the ceiling {MAX_TRIALS} for a bounds grid point"
         )
-    rng = seed.rng()
-    if dist is None:
-        mu = m / 2.0
-    else:
-        cum = np.cumsum(dist.probs)
-        mu = float(sum(v * p for v, p in enumerate(dist.probs)))
-    y = np.empty(trials, dtype=np.int64)
-    for start in range(0, trials, CHUNK_ROWS):
-        rows = min(CHUNK_ROWS, trials - start)
-        if dist is None:
-            block = rng.integers(0, m + 1, size=(rows, n))
-        else:
-            block = np.minimum(np.searchsorted(cum, rng.random((rows, n)), side="right"), m)
-        np.einsum("ij->i", block, out=y[start:start + rows])
-    target = n * mu
 
-    # Vectorised project_sum with a scalar target: clipping the nearest
-    # integer to the target (ties to the floor, the scalar tie rule) into
-    # each trial's window gives the window's nearest point.
-    z_f, z_c = math.floor(target), math.ceil(target)
-    nearest = z_c if abs(z_c - target) < abs(z_f - target) else z_f
+
+def monte_carlo_report(n: int, m: int, b: int, trials: int, seed: Seed) -> BoundReport:
+    """Empirical variances of the raw and corrected mean estimates.
+
+    Draws ``trials`` sums of n uniform values on {0..m}, projects each sum
+    by at most b units toward n*m/2, and returns sample variances of both
+    scaled sums next to the analytic bounds. Deterministic per seed.
+    """
+    check_point(n, m, b, trials)
+    rng = seed.rng()
+    y = np.empty(trials, dtype=np.int64)
+    # numpy's ``integers`` stream does not depend on how the rows are split
+    step = min(CHUNK_ROWS, max(1, CHUNK_ROWS * 25 // n))
+    for start in range(0, trials, step):
+        rows = min(step, trials - start)
+        block = rng.integers(0, m + 1, size=(rows, n))
+        np.einsum("ij->i", block, out=y[start:start + rows])
+
+    # Vectorised project_sum toward n*m/2: clipping the integer nearest to
+    # it (ties to the floor, the scalar tie rule) into each trial's window
+    # gives the window's nearest point.
+    nearest = n * m // 2
     y_tilde = np.clip(nearest, np.maximum(y - b, 0), np.minimum(y + b, n * m))
-    moved = np.abs(y_tilde - y)
-    if int(moved.max(initial=0)) > b:
+    if int(np.abs(y_tilde - y).max(initial=0)) > b:
         raise AssertionError("projection moved a sum beyond the budget")
 
     # Variances on the integer sums, scaled afterwards: integer-valued

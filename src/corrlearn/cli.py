@@ -5,8 +5,9 @@ line, ``--config``, ``--seed``, ``--out``, ``--format`` and one flag per
 parameter; ``--help`` shows each default. A flag or config-file field the
 experiment does not read, and an abbreviated flag, exit 2.
 
-Exit codes: 0 success, 2 configuration error, 3 solver ceiling exceeded,
-4 internal error (an invariant violation, or a KeyError: no input raises one).
+Exit codes: 0 success; 2 bad input (a ``ConfigError`` from a check on flags or
+files, made before any solve or draw, or an ``OSError``); 3 a memory ceiling
+(solver states, ``bounds`` trials, sampled draws); 4 any other error, a bug.
 """
 
 from __future__ import annotations
@@ -15,23 +16,15 @@ import argparse
 import sys
 from typing import Sequence
 
-from .core import Categorical
+from .core import Categorical, ConfigError
 from .dp import CeilingExceededError, policy_dump, solve
-from .experiments import (
-    EXPERIMENTS,
-    FIELD_TYPES,
-    ConfigError,
-    ExperimentConfig,
-    InvariantViolationError,
-    run_and_format,
-    write_output,
-)
+from .experiments import EXPERIMENTS, FIELD_TYPES, ExperimentConfig, run_and_format, write_output
 from .mdp import MdpSpec, l1_terminal_reward
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_CEILING = 3
-EXIT_INVARIANT = 4
+EXIT_INTERNAL = 4
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -73,28 +66,34 @@ def _experiment_config(args: argparse.Namespace) -> ExperimentConfig:
     return ExperimentConfig(**{k: v for k, v in overrides.items() if v is not None})
 
 
+def _solve_spec(args: argparse.Namespace) -> MdpSpec:
+    """The ``solve`` flags as a spec; a bad value raises ``ConfigError``."""
+    try:
+        theta0 = Categorical(args.theta0)
+        spec = MdpSpec(n=args.n, model=theta0, reward=l1_terminal_reward(theta0))
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+    if args.budget < 0:
+        raise ConfigError("budget must be nonnegative")
+    return spec
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         if args.command == "solve":
-            theta0 = Categorical(args.theta0)
-            spec = MdpSpec(n=args.n, model=theta0, reward=l1_terminal_reward(theta0))
-            write_output(policy_dump(solve(spec, (args.budget,))), args.out)
+            write_output(policy_dump(solve(_solve_spec(args), (args.budget,))), args.out)
             return EXIT_OK
         config = _experiment_config(args)
-        text = run_and_format(config)
-        write_output(text, config.output)
+        write_output(run_and_format(config), config.output)
         return EXIT_OK
-    except CeilingExceededError as exc:
+    except (ConfigError, OSError, CeilingExceededError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CEILING
-    except (InvariantViolationError, KeyError) as exc:
-        print(f"internal error: {exc}", file=sys.stderr)
-        return EXIT_INVARIANT
-    except (ConfigError, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        return EXIT_CEILING if isinstance(exc, CeilingExceededError) else EXIT_CONFIG
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

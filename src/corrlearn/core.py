@@ -1,12 +1,13 @@
 """Value types and sampling primitives shared by every other module.
 
 Outcome alphabets are indexed 0..K-1 where K is the number of distinct
-values (K >= 2 everywhere). All types are immutable; sampling takes an
-explicit seed per stream, so there is no shared generator state to protect.
-A stream is a row of an int array of outcome indices. Its uniforms are
-numpy's ``SeedSequence -> PCG64 -> Generator.random`` stream for its seed,
-rebuilt bit for bit for every seed in one vectorised pass; ``Seed.rng()``
-builds numpy's own generator and remains only for ``bounds``.
+values (K >= 2 everywhere). ``ConfigError`` marks bad input (exit 2 in the
+CLI); any other ``ValueError`` is a bug. All types are immutable; sampling
+takes an explicit seed per stream, so there is no shared generator state
+to protect. A stream is a row of an int array of outcome indices. Its
+uniforms are numpy's ``SeedSequence -> PCG64 -> Generator.random`` stream
+for its seed, rebuilt bit for bit for every seed in one vectorised pass;
+``Seed.rng()`` builds numpy's own generator and remains only for ``bounds``.
 """
 
 from __future__ import annotations
@@ -17,6 +18,11 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
+
+
+class ConfigError(ValueError):
+    """Bad input: a configuration, flag or file the program cannot run."""
+
 
 # Probability vectors must sum to 1 within this absolute tolerance.
 # Constructors renormalise smaller deviations and reject larger ones.
@@ -50,20 +56,15 @@ class Categorical:
 
 @dataclass(frozen=True)
 class CountVector:
-    """Per-outcome tallies with at most ``n_target`` observations recorded."""
+    """Per-outcome tallies of the observations recorded so far."""
 
     counts: tuple[int, ...]
-    n_target: int
 
     def __post_init__(self) -> None:
         counts = tuple(int(c) for c in self.counts)
         object.__setattr__(self, "counts", counts)
         if any(c < 0 for c in counts):
             raise ValueError("counts must be nonnegative")
-        if sum(counts) > self.n_target:
-            raise ValueError(
-                f"counts sum to {sum(counts)}, above the horizon {self.n_target}"
-            )
 
     @property
     def total(self) -> int:

@@ -57,18 +57,11 @@ class Policy:
             ) from None
 
 
-def value_at(policy: Policy, state: TeacherState) -> float:
-    try:
-        return policy.values[state.stage][state]
-    except KeyError:
-        raise KeyError(f"state {state} not present in the value table") from None
-
-
 def root_value(policy: Policy, spec: MdpSpec, budget: int) -> float:
     """Optimal expected reward before the first observation, at ``budget``."""
     total = 0.0  # added in outcome order, as in ``solve``
     for s, p in arrivals((0,) * spec.k, budget, spec):
-        total += p * value_at(policy, s)
+        total += p * policy.values[1][s]
     return total
 
 
@@ -114,7 +107,7 @@ def solve(
 
     finals = pairs.pop()
     reward = {
-        counts: spec.reward.evaluate(CountVector(counts, spec.n))
+        counts: spec.reward.evaluate(CountVector(counts))
         for counts in {counts for counts, _ in finals}
     }
     ahead = {pair: reward[pair[0]] for pair in finals}
@@ -166,7 +159,7 @@ def brute_force_value(
 
     def value(counts: tuple[int, ...], left: int) -> float:
         if sum(counts) == spec.n:
-            return spec.reward.evaluate(CountVector(counts, spec.n))
+            return spec.reward.evaluate(CountVector(counts))
         return sum(
             p * max(value(*apply_action(s, a)) for a in feasible_actions(s, spec.k))
             for s, p in arrivals(counts, left, spec)

@@ -19,13 +19,22 @@ from typing import Any, Callable, NamedTuple, Sequence
 import numpy as np
 
 from .batch import attainable_error, batch_correct
-from .bounds import monte_carlo_report
-from .core import Categorical, CountVector, Seed, empirical_estimate, l1_error, sample_sequence
+from .bounds import check_point, monte_carlo_report
+from .core import (
+    Categorical, ConfigError, CountVector, Seed, empirical_estimate, l1_error, sample_sequence,
+)
+from .dp import CeilingExceededError
 from .likelihood import CandidateSet, default_candidates, misclassification_experiment
 from .mdp import l1_terminal_reward
 from .teacher import per_distinct_counts, replays
 
 Row = dict[str, Any]  # one output row: column name -> value, in column order
+
+# A sampled run's peak RSS grows by 37-68 bytes per draw unit: trials *
+# (largest n + 8 * (1 + rows per trial)), a trial's seed and each row it emits
+# costing about 8 draws (VmHWM growth at 20k-100k trials, n in {1, 5, 10, 25,
+# 50}, 1-4 budgets, Python 3.11). So 25M units at up to ~80 bytes stay near 2 GB.
+MAX_DRAWS = 25_000_000
 
 
 class Experiment(NamedTuple):
@@ -64,10 +73,6 @@ EXPERIMENTS: dict[str, Experiment] = {
 }
 # config fields every experiment takes; the rest are experiment parameters
 _COMMON_FIELDS = ("experiment", "seed", "output", "fmt")
-
-
-class ConfigError(ValueError):
-    """The experiment configuration is invalid."""
 
 
 class InvariantViolationError(RuntimeError):
@@ -152,6 +157,8 @@ class ExperimentConfig:
             raise ConfigError(f"unknown output format {self.fmt!r}")
         if self.trials < 1:
             raise ConfigError("trials must be positive")
+        if not 0 <= self.seed < 2**64:
+            raise ConfigError("seed must fit in an unsigned 64-bit integer")
         if self.candidates is not None and not Path(self.candidates).is_file():
             raise ConfigError(f"candidate file {self.candidates!r} does not exist")
 
@@ -216,6 +223,16 @@ def _theta(config: ExperimentConfig) -> Categorical:
         raise ConfigError(f"invalid theta0: {exc}") from exc
 
 
+def _check_draws(config: ExperimentConfig, rows_per_trial: int = 0) -> None:
+    """Raise ``CeilingExceededError`` if the run's draw units pass ``MAX_DRAWS``."""
+    units = config.trials * (max(config.n_values) + 8 * (1 + rows_per_trial))
+    if units > MAX_DRAWS:
+        raise CeilingExceededError(
+            f"{config.trials} trials at n up to {max(config.n_values)} take {units} "
+            f"draw units, above the ceiling {MAX_DRAWS}"
+        )
+
+
 def _run_correction_records(config: ExperimentConfig, with_attainable: bool) -> list[Row]:
     theta0 = _theta(config)
     if len(config.n_values) != 1:
@@ -224,6 +241,7 @@ def _run_correction_records(config: ExperimentConfig, with_attainable: bool) -> 
             f"got {config.n_values}"
         )
     (n,) = config.n_values
+    _check_draws(config, rows_per_trial=len(config.budgets))
     seed = Seed(config.seed)
     streams = sample_sequence(theta0, n, seed.spawn_many([(t,) for t in range(config.trials)]))
     originals = (streams[:, :, None] == np.arange(theta0.k)).sum(axis=1)
@@ -231,16 +249,16 @@ def _run_correction_records(config: ExperimentConfig, with_attainable: bool) -> 
     def error(counts: CountVector) -> float:
         return l1_error(empirical_estimate(counts), theta0)
 
-    error_original = per_distinct_counts(error, originals, n)
+    error_original = per_distinct_counts(error, originals)
     rows = []
     for budget, counts, spent in replays(streams, theta0, l1_terminal_reward(theta0),
                                          config.budgets):
-        online = per_distinct_counts(error, counts, n)
+        online = per_distinct_counts(error, counts)
         batch = per_distinct_counts(lambda c: (
             batch_correct(c, theta0, budget).error,
             attainable_error(n, theta0, budget, empirical_estimate(c))
             if with_attainable else None,
-        ), originals, n)
+        ), originals)
         for trial, (error_batch, error_attainable) in enumerate(batch):
             record = ExperimentRecord(
                 experiment=config.experiment,
@@ -279,6 +297,7 @@ def run_variance_sweep(config: ExperimentConfig) -> list[Row]:
     if config.trials < 2:
         raise ConfigError("the variance experiment needs at least 2 trials")
     theta0 = _theta(config)
+    _check_draws(config)
     seed = Seed(config.seed)
     reward = l1_terminal_reward(theta0)
     rows = []
@@ -287,7 +306,7 @@ def run_variance_sweep(config: ExperimentConfig) -> list[Row]:
         streams = sample_sequence(theta0, n, seeds)
         for budget, counts, _ in replays(streams, theta0, reward, config.budgets):
             estimates = np.array(
-                per_distinct_counts(lambda c: empirical_estimate(c).probs, counts, n))
+                per_distinct_counts(lambda c: empirical_estimate(c).probs, counts))
             per_coord = estimates.var(axis=0, ddof=1)
             rows.append({
                 "n": n, "budget": budget, "trials": config.trials,
@@ -301,6 +320,8 @@ def run_bounds(config: ExperimentConfig) -> list[Row]:
     """One Monte-Carlo bound report per (n, m, budget) grid point."""
     grid = [(n, m, budget)
             for n in config.n_values for m in config.m_values for budget in config.budgets]
+    for point in grid:  # every point is checked before the first draw
+        check_point(*point, config.trials)
     seeds = Seed(config.seed).spawn_many(grid)
     reports = [monte_carlo_report(*point, config.trials, seed)
                for point, seed in zip(grid, seeds)]
@@ -321,6 +342,7 @@ def run_bio(config: ExperimentConfig) -> list[Row]:
     label = config.theta0_label
     if label not in candidates.labels():
         raise ConfigError(f"theta0_label {label} not among {candidates.labels()}")
+    _check_draws(config)
     seed = Seed(config.seed)
     rows = []
     for n in config.n_values:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
-from .core import Categorical, CountVector, Seed, sample_sequence
+from .core import Categorical, ConfigError, CountVector, Seed, sample_sequence
 from .mdp import TerminalReward
 from .teacher import per_distinct_counts, replays
 
@@ -61,8 +61,8 @@ class CandidateSet:
 
 
 def _parse_candidates(text: str, source: str) -> CandidateSet:
-    """Candidate set from the JSON text of ``source``; errors name the file
-    and, for a wrongly shaped document, the field."""
+    """Candidate set from the JSON text of ``source``; a ``ConfigError``
+    names the file and, for a wrongly shaped document, the field."""
     try:
         data = json.loads(text)
         if not isinstance(data, dict):
@@ -82,7 +82,7 @@ def _parse_candidates(text: str, source: str) -> CandidateSet:
             CandidateModel(m["theta"], Categorical(tuple(m["probs"]))) for m in models
         ))
     except ValueError as exc:
-        raise ValueError(f"candidate file {source}: {exc}") from None
+        raise ConfigError(f"candidate file {source}: {exc}") from None
 
 
 def default_candidates() -> CandidateSet:
@@ -126,12 +126,22 @@ def ml_estimate(counts: CountVector, candidates: CandidateSet) -> int:
     return best_label
 
 
+def _identify(counts: CountVector, candidates: CandidateSet) -> int | None:
+    """``ml_estimate``, or None for counts that no candidate can produce."""
+    if min(negative_log_likelihood(counts, m) for m in candidates.models) == math.inf:
+        return None
+    return ml_estimate(counts, candidates)
+
+
 def bio_terminal_reward(theta0_label: int, candidates: CandidateSet) -> TerminalReward:
-    """Identification reward on final counts: -|estimate - theta0|."""
+    """Identification reward on final counts: -|estimate - theta0|, or the
+    worst misidentification for counts that no candidate explains."""
     candidates.by_label(theta0_label)  # raises KeyError for unknown labels
+    worst = max(abs(label - theta0_label) for label in candidates.labels())
 
     def evaluate(counts: CountVector) -> float:
-        return -abs(ml_estimate(counts, candidates) - theta0_label)
+        label = _identify(counts, candidates)
+        return -worst if label is None else -abs(label - theta0_label)
 
     return TerminalReward(evaluate)
 
@@ -150,6 +160,7 @@ def misclassification_experiment(
     Observations come from the true model's action distribution; the
     teacher replays its solved policy on each stream. Trial streams are
     derived from (seed, trial) only, so every budget sees the same data.
+    Final counts that no candidate explains count as misidentified.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
@@ -158,6 +169,6 @@ def misclassification_experiment(
     streams = sample_sequence(true_dist, n, seed.spawn_many([(t,) for t in range(trials)]))
     rates: dict[int, float] = {}
     for budget, counts, _ in replays(streams, true_dist, reward, budgets):
-        labels = per_distinct_counts(lambda c: ml_estimate(c, candidates), counts, n)
+        labels = per_distinct_counts(lambda c: _identify(c, candidates), counts)
         rates[budget] = sum(label != theta0_label for label in labels) / trials
     return rates

@@ -73,17 +73,13 @@ class MdpSpec:
         object.__setattr__(self, "k", self.model.k)
 
 
-def state_count_bound(k: int, n: int, budget: int | None = None) -> int:
-    """Number of count vectors with 1 <= sum <= n, via multiset coefficients.
-
-    With ``budget`` given, multiplies by (budget+1)*k for a bound on full
-    (counts, budget, observation) states. Exact integer arithmetic.
-    """
+def state_count_bound(k: int, n: int, budget: int) -> int:
+    """Bound on the (counts, budget, observation) states up to ``budget``:
+    the count vectors with 1 <= sum <= n, via multiset coefficients, times
+    (budget+1)*k. Exact integer arithmetic."""
     if k < 1 or n < 1:
         raise ValueError("k and n must be positive")
     vectors = sum(math.comb(k + m - 1, m) for m in range(1, n + 1))
-    if budget is None:
-        return vectors
     return vectors * (budget + 1) * k
 
 

@@ -120,11 +120,11 @@ def replays(
         yield budget, counts, spent
 
 
-def per_distinct_counts(f: Callable[[CountVector], Any], counts: np.ndarray, n: int) -> list:
+def per_distinct_counts(f: Callable[[CountVector], Any], counts: np.ndarray) -> list:
     """``f`` of each row of a (trials x k) count array, such as a replay's
     final counts, in trial order, evaluated once per distinct row."""
     distinct, which = _distinct_rows(counts)
-    values = [f(CountVector(row, n)) for row in distinct.tolist()]
+    values = [f(CountVector(row)) for row in distinct.tolist()]
     return [values[i] for i in which.tolist()]
 
 
@@ -170,6 +170,6 @@ def expected_online_error(
                 ahead[pair] = ahead.get(pair, 0.0) + weight * p
         mass = ahead
     return -math.fsum(
-        weight * spec.reward.evaluate(CountVector(counts, n))
+        weight * spec.reward.evaluate(CountVector(counts))
         for (counts, _), weight in mass.items()
     )

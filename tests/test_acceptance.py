@@ -70,13 +70,13 @@ def test_criterion_2_binomial_online_optimality():
     start = time.perf_counter()
     worst = 0.0
     streams = np.array(list(itertools.product(range(2), repeat=n)))
-    originals = [CountVector((n - ones, ones), n) for ones in streams.sum(axis=1).tolist()]
+    originals = [CountVector((n - ones, ones)) for ones in streams.sum(axis=1).tolist()]
     for budget in (0, 1, 2):
         policy = solve(l1_spec(theta, n), (budget,))
         _, counts, _ = replay_all(streams, 2, policy, budget)
         for original, final in zip(originals, counts.tolist()):
             floor = attainable_error(n, theta, budget, empirical_estimate(original))
-            err = l1_error(empirical_estimate(CountVector(tuple(final), n)), theta)
+            err = l1_error(empirical_estimate(CountVector(tuple(final))), theta)
             worst = max(worst, abs(err - floor))
     elapsed = time.perf_counter() - start
     ok = worst < 1e-12 and elapsed < 10

@@ -104,7 +104,7 @@ class TestAttainableError:
         theta0 = Categorical((0.5, 0.5))
         assert attainable_error(10, theta0, 5, Categorical((0.9, 0.1))) == 0.0
         # cross-check against the batch corrector on the same data
-        assert batch_correct(CountVector((9, 1), 10), theta0, 5).error == 0.0
+        assert batch_correct(CountVector((9, 1)), theta0, 5).error == 0.0
 
     def test_binomial_only(self):
         with pytest.raises(ValueError, match="binomial"):
@@ -115,13 +115,13 @@ class TestAttainableError:
 
 class TestBatchCorrect:
     def test_single_move(self):
-        res = batch_correct(CountVector((3, 7), 10), Categorical((0.5, 0.5)), 1)
+        res = batch_correct(CountVector((3, 7)), Categorical((0.5, 0.5)), 1)
         assert res.corrected.counts == (4, 6)
         assert res.error == pytest.approx(0.2, abs=1e-12)
         assert moves((3, 7), res.corrected.counts) == 1
 
     def test_tie_breaks_lexicographically(self):
-        res = batch_correct(CountVector((1, 2, 2), 5), Categorical((0.4, 0.3, 0.3)), 1)
+        res = batch_correct(CountVector((1, 2, 2)), Categorical((0.4, 0.3, 0.3)), 1)
         assert res.corrected.counts == (2, 1, 2)  # beats the tied (2, 2, 1)
         assert res.error == pytest.approx(0.2, abs=1e-12)
 
@@ -132,17 +132,17 @@ class TestBatchCorrect:
             counts = tuple(rng.randint(0, 5) for _ in range(k))
             if sum(counts) == 0:
                 counts = (1,) + counts[1:]
-            res = batch_correct(CountVector(counts, sum(counts)), rand_cat(rng, k), 0)
+            res = batch_correct(CountVector(counts), rand_cat(rng, k), 0)
             assert res.corrected.counts == counts
 
     def test_rejects_bad_inputs(self):
         theta0 = Categorical((0.5, 0.5))
         with pytest.raises(ValueError):
-            batch_correct(CountVector((1, 1), 2), theta0, -1)
+            batch_correct(CountVector((1, 1)), theta0, -1)
         with pytest.raises(ValueError, match="no observations"):
-            batch_correct(CountVector((0, 0), 2), theta0, 1)
+            batch_correct(CountVector((0, 0)), theta0, 1)
         with pytest.raises(ValueError, match="mismatch"):
-            batch_correct(CountVector((1, 1, 1), 3), theta0, 1)
+            batch_correct(CountVector((1, 1, 1)), theta0, 1)
 
     def test_matches_brute_search(self):
         rng = random.Random(33)
@@ -153,7 +153,7 @@ class TestBatchCorrect:
             if sum(counts) == 0:
                 counts = (1,) + counts[1:]
             budget = rng.randint(0, 4)
-            res = batch_correct(CountVector(counts, sum(counts)), theta0, budget)
+            res = batch_correct(CountVector(counts), theta0, budget)
             assert res.error == pytest.approx(
                 brute_batch_error(counts, theta0, budget), abs=1e-12
             )
@@ -169,7 +169,7 @@ class TestBatchCorrect:
             if sum(counts) == 0:
                 counts = (1,) + counts[1:]
             budget = rng.randint(0, 5)
-            res = batch_correct(CountVector(counts, sum(counts)), theta0, budget)
+            res = batch_correct(CountVector(counts), theta0, budget)
             assert res.error == pytest.approx(
                 brute_batch_error(counts, theta0, budget), abs=1e-12
             )
@@ -183,7 +183,7 @@ class TestBatchCorrect:
             counts = [0] * k
             for _ in range(n):
                 counts[rng.randrange(k)] += 1
-            cv = CountVector(tuple(counts), n)
+            cv = CountVector(tuple(counts))
             errs = [batch_correct(cv, theta0, b).error for b in range(n + 2)]
             for lo, hi in zip(errs[1:], errs):
                 assert lo <= hi + 1e-12
@@ -197,7 +197,7 @@ class TestBatchCorrect:
             counts = [0] * k
             for _ in range(n):
                 counts[rng.randrange(k)] += 1
-            cv = CountVector(tuple(counts), n)
+            cv = CountVector(tuple(counts))
             floor = e_min(n, theta0).error
             for b in (0, 1, n):
                 res = batch_correct(cv, theta0, b)
@@ -210,7 +210,7 @@ class TestBatchCorrect:
         # every count vector at n=10, budgets 0..3
         theta0 = Categorical((0.5, 0.5))
         for ones in range(11):
-            cv = CountVector((10 - ones, ones), 10)
+            cv = CountVector((10 - ones, ones))
             estimate = empirical_estimate(cv)
             for b in range(4):
                 assert batch_correct(cv, theta0, b).error == pytest.approx(

@@ -16,11 +16,10 @@ from corrlearn.bounds import (
     _check_grid,
     monte_carlo_report,
     project_sum,
-    uniform_variance,
     var_bound_abs,
     var_bound_ratio_paper,
 )
-from corrlearn.core import Categorical, Seed
+from corrlearn.core import Seed
 
 
 def brute_project(y, target, budget, upper=None):
@@ -100,23 +99,24 @@ class TestAnalyticBounds:
 
 
 class TestUniformVariance:
+    """The ratio bound's derivation takes (5M^2+M)/6 as the per-draw
+    variance of Unif{0..M}; the true one is M(M+2)/12."""
+
     @pytest.mark.parametrize(
         "m,stated,corrected",
         [(1, 1.0, 0.25), (2, 22 / 6, 8 / 12), (3, 8.0, 15 / 12)],
     )
     def test_both_constants(self, m, stated, corrected):
-        uv = uniform_variance(m)
-        assert uv.stated == pytest.approx(stated, rel=1e-12)
-        assert uv.corrected == pytest.approx(corrected, rel=1e-12)
+        assert (5 * m * m + m) / 6 == pytest.approx(stated, rel=1e-12)
+        assert m * (m + 2) / 12 == pytest.approx(corrected, rel=1e-12)
+        assert uniform_central_moments(m)[0] == pytest.approx(corrected, rel=1e-12)
 
     def test_corrected_constant_is_the_true_variance(self):
         for m in range(1, 8):
             enumerated, _ = uniform_central_moments(m)
-            assert uniform_variance(m).corrected == pytest.approx(
-                enumerated, rel=1e-12
-            )
+            assert m * (m + 2) / 12 == pytest.approx(enumerated, rel=1e-12)
             # the stated constant overstates it for every m
-            assert uniform_variance(m).stated > enumerated
+            assert (5 * m * m + m) / 6 > enumerated
 
 
 class TestMonteCarloReport:
@@ -172,19 +172,9 @@ class TestMonteCarloReport:
             report.empirical_var_corrected, rel=1e-12
         )
 
-    def test_nonuniform_source_accepted(self):
-        dist = Categorical((0.5, 0.25, 0.25))
-        report = monte_carlo_report(4, 2, 1, 5_000, Seed(13), dist=dist)
-        # mean of dist is 0.75, so the projection target is n * 0.75
-        assert report.empirical_var_corrected <= report.empirical_var_original
-
     def test_too_few_trials_rejected(self):
         with pytest.raises(ValueError, match="trials"):
             monte_carlo_report(10, 1, 0, 999, Seed(1))
-
-    def test_mismatched_distribution_rejected(self):
-        with pytest.raises(ValueError):
-            monte_carlo_report(10, 3, 0, 2_000, Seed(1), dist=Categorical((0.5, 0.5)))
 
     def test_traced_memory_does_not_grow_with_n(self):
         # a whole (trials, n) draw matrix would take 8n = 200 bytes a trial
@@ -199,21 +189,13 @@ class TestMonteCarloReport:
         assert peak < 64 * trials
 
 
-def one_shot_report(n, m, b, trials, seed, dist=None):
+def one_shot_report(n, m, b, trials, seed):
     """``monte_carlo_report`` drawing the whole (trials, n) matrix at once
     and projecting through both clipped candidates: the reference the
     blocked kernel must match bit for bit."""
     _check_grid(n, m, b)
-    rng = seed.rng()
-    if dist is None:
-        draws = rng.integers(0, m + 1, size=(trials, n))
-        mu = m / 2.0
-    else:
-        cum = np.cumsum(dist.probs)
-        draws = np.minimum(np.searchsorted(cum, rng.random((trials, n)), side="right"), m)
-        mu = float(sum(v * p for v, p in enumerate(dist.probs)))
-    y = draws.sum(axis=1)
-    target = n * mu
+    y = seed.rng().integers(0, m + 1, size=(trials, n)).sum(axis=1)
+    target = n * m / 2.0
     lo = np.maximum(y - b, 0)
     hi = np.minimum(y + b, n * m)
     z_f = np.clip(math.floor(target), lo, hi)
@@ -231,19 +213,10 @@ def one_shot_report(n, m, b, trials, seed, dist=None):
     )
 
 
-def oracle_sources(m):
-    """Uniform draws and two skewed distributions on {0..m}, one of them
-    with a value of probability 0."""
-    rising = np.arange(1, m + 2, dtype=float)
-    gapped = np.r_[0.0, np.ones(m)]
-    return [None, Categorical(tuple(rising / rising.sum())),
-            Categorical(tuple(gapped / gapped.sum()))]
-
-
 class TestBlockedKernel:
     """The blocked draws and one-clip projection against the one-shot
     reference, on trial counts either side of the block edges. Odd n*m
-    gives a half-integer uniform target, where the tie rule decides."""
+    gives a half-integer target, where the tie rule decides."""
 
     @pytest.mark.parametrize("trials", [
         MIN_TRIALS, CHUNK_ROWS - 1, CHUNK_ROWS, CHUNK_ROWS + 1, 3 * CHUNK_ROWS + 17,
@@ -253,13 +226,29 @@ class TestBlockedKernel:
         for n in (1, 3, 7, 25):
             for m in (1, 2, 3, 4):
                 for b in sorted({0, 1, n * m // 2, n * m}):
-                    for i, dist in enumerate(oracle_sources(m)):
-                        seed = Seed(11).spawn(trials, n, m, b, i)
-                        got = monte_carlo_report(n, m, b, trials, seed, dist)
-                        want = one_shot_report(n, m, b, trials, seed, dist)
-                        if repr(got) != repr(want):
-                            differ.append((n, m, b, i))
+                    seed = Seed(11).spawn(trials, n, m, b)
+                    got = monte_carlo_report(n, m, b, trials, seed)
+                    if repr(got) != repr(one_shot_report(n, m, b, trials, seed)):
+                        differ.append((n, m, b))
         assert differ == []
+
+    def test_matches_one_shot_reference_at_large_n(self):
+        # 199-row blocks of 1025 draws: an odd number of values per block
+        n, m, b = 1025, 3, 40
+        seed = Seed(12)
+        assert repr(monte_carlo_report(n, m, b, MIN_TRIALS, seed)) == repr(
+            one_shot_report(n, m, b, MIN_TRIALS, seed))
+
+    def test_block_memory_does_not_grow_with_n(self):
+        # one block of all 1000 rows at n = 5000 would take 40 MB
+        monte_carlo_report(5_000, 1, 0, MIN_TRIALS, Seed(3))  # first-call set-up
+        tracemalloc.start()
+        try:
+            monte_carlo_report(5_000, 1, 0, MIN_TRIALS, Seed(3))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4_000_000
 
 
 def sum_pmf(n, probs):
@@ -282,36 +271,24 @@ def projected_support(n, m, b, mu):
     return np.array([project_sum(y, n * mu, b, upper=n * m) for y in range(n * m + 1)])
 
 
-def exact_moments(n, m, b, probs, mu):
-    """Exact (variance, fourth central moment) of Y/n and of the projected
-    sum over n, where Y sums n i.i.d. draws on {0..m} with pmf ``probs``."""
-    pmf = sum_pmf(n, probs)
-    return [central_moments(pmf, values / n)
-            for values in (np.arange(n * m + 1), projected_support(n, m, b, mu))]
-
-
 def uniform_exact_moments(n, m, b):
-    # the same target n*m/2 as monte_carlo_report, so half-integer ties agree
-    return exact_moments(n, m, b, np.full(m + 1, 1 / (m + 1)), m / 2)
+    """Exact (variance, fourth central moment) of Y/n and of the projected
+    sum over n, where Y sums n uniform draws on {0..m}; the target n*m/2 is
+    monte_carlo_report's, so half-integer ties agree."""
+    pmf = sum_pmf(n, np.full(m + 1, 1 / (m + 1)))
+    return [central_moments(pmf, values / n)
+            for values in (np.arange(n * m + 1), projected_support(n, m, b, m / 2))]
 
 
 class TestExactOracle:
     TRIALS = 20_000
 
-    @pytest.mark.parametrize("n,m,b,probs", [
-        (5, 1, 1, None), (10, 2, 0, None), (10, 2, 3, None), (25, 4, 5, None),
-        (8, 3, 12, None), (2, 2, 1, (0.5, 0.25, 0.25)), (4, 2, 1, (0.5, 0.25, 0.25)),
-        (9, 2, 2, (0.5, 0.25, 0.25)),
-        (12, 3, 3, (0.1, 0.2, 0.3, 0.4)),
+    @pytest.mark.parametrize("n,m,b", [
+        (5, 1, 1), (10, 2, 0), (10, 2, 3), (25, 4, 5), (8, 3, 12),
     ])
-    def test_monte_carlo_within_three_sigma_of_exact(self, n, m, b, probs):
-        dist = None if probs is None else Categorical(probs)
-        report = monte_carlo_report(n, m, b, self.TRIALS, Seed(2024).spawn(n, m, b), dist)
-        if dist is None:
-            exact = uniform_exact_moments(n, m, b)
-        else:
-            exact = exact_moments(n, m, b, np.array(dist.probs),
-                                  float(sum(v * p for v, p in enumerate(dist.probs))))
+    def test_monte_carlo_within_three_sigma_of_exact(self, n, m, b):
+        report = monte_carlo_report(n, m, b, self.TRIALS, Seed(2024).spawn(n, m, b))
+        exact = uniform_exact_moments(n, m, b)
         empirical = (report.empirical_var_original, report.empirical_var_corrected)
         t = self.TRIALS
         for value, (var, mu4) in zip(empirical, exact):

@@ -51,12 +51,12 @@ class TestEmpiricalEstimate:
         ],
     )
     def test_examples(self, counts, expected):
-        cv = CountVector(counts, sum(counts))
+        cv = CountVector(counts)
         assert empirical_estimate(cv).probs == pytest.approx(expected, abs=1e-15)
 
     def test_empty_counts_rejected(self):
         with pytest.raises(ValueError, match="no observations"):
-            empirical_estimate(CountVector((0, 0), 5))
+            empirical_estimate(CountVector((0, 0)))
 
 
 class TestL1Error:
@@ -153,7 +153,7 @@ class TestCountsFromSequence:
             (row,) = sample_sequence(dist, n, [Seed(rng.randrange(2**32))])
             counts = np.bincount(row, minlength=k)
             assert len(counts) == k
-            assert CountVector(tuple(counts), n).total == n
+            assert CountVector(tuple(counts)).total == n
 
 
 class TestSeed:
@@ -253,11 +253,7 @@ class TestStreamKernel:
 
 
 class TestCountVector:
-    def test_rejects_overfull(self):
-        with pytest.raises(ValueError):
-            CountVector((3, 3), 5)
-
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
-            CountVector((-1, 2), 5)
+            CountVector((-1, 2))
 

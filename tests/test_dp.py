@@ -14,7 +14,6 @@ from corrlearn.dp import (
     policy_dump,
     root_value,
     solve,
-    value_at,
 )
 from corrlearn.mdp import (
     MdpSpec,
@@ -150,14 +149,14 @@ class TestPolicyAndTable:
                 p * policy.values[stage + 1][succ]
                 for succ, p in arrivals(*apply_action(state, action), spec)
             )
-            assert value_at(policy, state) == pytest.approx(backup, abs=1e-12)
+            assert policy.values[stage][state] == pytest.approx(backup, abs=1e-12)
 
     def test_terminal_stage_values_are_best_final_rewards(self):
         spec = spec_for(Categorical((0.5, 0.5)), 4)
         policy = solve(spec, (1,))
         for state, value in policy.values[spec.n].items():
             best = max(
-                spec.reward.evaluate(CountVector(apply_action(state, action)[0], spec.n))
+                spec.reward.evaluate(CountVector(apply_action(state, action)[0]))
                 for action in feasible_actions(state, spec.k)
             )
             assert value == pytest.approx(best, abs=1e-12)
@@ -170,12 +169,7 @@ class TestPolicyAndTable:
             for state in policy.values[stage]:
                 if state.budget == 0:
                     expected = -passive_expected_error(theta, state, spec.n)
-                    assert value_at(policy, state) == pytest.approx(expected, abs=1e-12)
-
-    def test_value_at_unknown_state_rejected(self):
-        policy = solve(spec_for(Categorical((0.5, 0.5)), 3), (0,))
-        with pytest.raises(KeyError):
-            value_at(policy, TeacherState((1, 1, 1), 0, 0))
+                    assert policy.values[stage][state] == pytest.approx(expected, abs=1e-12)
 
     def test_initial_state_values_match_conditioned_recursion(self):
         # expectimax restarted from each first observation, written out
@@ -212,7 +206,7 @@ class TestPolicyAndTable:
         for y in range(2):
             counts = tuple(1 if i == y else 0 for i in range(2))
             state = TeacherState(counts, budget, y)
-            assert value_at(policy, state) == pytest.approx(
+            assert policy.values[1][state] == pytest.approx(
                 best(counts, budget, y, 1), abs=1e-12
             )
 
@@ -285,7 +279,7 @@ class TestSharedSolve:
                 covered.setdefault(stage, set()).update(actions)
                 for state, action in actions.items():
                     assert shared.action_for(state) == action
-                    assert value_at(shared, state) == value_at(policy, state)
+                    assert shared.values[stage][state] == policy.values[stage][state]
             assert root_value(shared, spec, budget) == root_value(policy, spec, budget)
         assert {stage: set(states) for stage, states in shared.stages.items()} == covered
 
@@ -360,10 +354,10 @@ def float_pair_value(policy, spec):
     outcome order as ``solve`` adds it."""
     def w(counts, budget):
         if sum(counts) == spec.n:
-            return spec.reward.evaluate(CountVector(counts, spec.n))
+            return spec.reward.evaluate(CountVector(counts))
         total = 0.0
         for state, p in arrivals(counts, budget, spec):
-            total += p * value_at(policy, state)
+            total += p * policy.values[state.stage][state]
         return total
 
     return w

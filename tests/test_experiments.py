@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -137,9 +141,9 @@ class TestMultinomialRunner:
     def test_original_counts_tally_each_sampled_stream(self, monkeypatch, experiment, theta0):
         tallied = []
 
-        def recording(f, counts, n):
+        def recording(f, counts):
             tallied.append(counts)
-            return per_distinct_counts(f, counts, n)
+            return per_distinct_counts(f, counts)
 
         monkeypatch.setattr(experiments, "per_distinct_counts", recording)
         EXPERIMENTS[experiment].run(config(
@@ -237,6 +241,21 @@ class TestBioRunner:
     def test_unknown_label_rejected(self):
         with pytest.raises(ConfigError, match="theta0_label"):
             run_bio(config(experiment="bio", theta0_label=3, trials=10))
+
+    @pytest.mark.parametrize("probs", [
+        ([0.5, 0.5, 0], [0.2, 0.8, 0]), ([0.5, 0.5, 0], [0, 0.5, 0.5]),
+    ], ids=["shared-zero", "disjoint-zeros"])
+    def test_candidates_with_zero_probabilities(self, tmp_path, capsys, probs):
+        # a relabel can reach final counts that no candidate explains
+        path = tmp_path / "models.json"
+        path.write_text(json.dumps({"version": 1, "models": [
+            {"theta": 1, "probs": probs[0]}, {"theta": 4, "probs": probs[1]}]}))
+        argv = ["bio", "--seed", "1", "--trials", "200", "--n-values", "6",
+                "--budgets", "0,1,2", "--candidates", str(path), "--format", "json"]
+        assert cli.main(argv) == 0
+        rows = json.loads(capsys.readouterr().out)
+        assert [r["budget"] for r in rows] == [0, 1, 2]
+        assert all(0 <= r["misclassification_rate"] <= 1 for r in rows)
 
 
 class TestOutputFormats:
@@ -370,6 +389,43 @@ class TestCli:
         assert cli.main(argv) == 3
         assert "1501 trials exceed the ceiling 1500" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("experiment,rows_per_trial", [
+        ("multinomial", 1), ("binomial", 1), ("variance", 0), ("bio", 0)])
+    def test_draws_over_the_ceiling_exit_3_before_sampling(
+        self, monkeypatch, capsys, experiment, rows_per_trial
+    ):
+        argv = [experiment, "--seed", "1", "--trials", "2", "--n-values", "3", "--budgets", "0"]
+        units = 2 * (3 + 8 * (1 + rows_per_trial))
+        monkeypatch.setattr(experiments, "MAX_DRAWS", units)
+        assert cli.main(argv) == 0
+        capsys.readouterr()
+
+        def spawn_many(self, keys):
+            raise AssertionError("seeds were spawned")
+
+        monkeypatch.setattr(experiments, "MAX_DRAWS", units - 1)
+        monkeypatch.setattr(Seed, "spawn_many", spawn_many)
+        assert cli.main(argv) == 3
+        assert f"{units} draw units, above the ceiling {units - 1}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags,message", [
+        (["--budgets", "0,3"], "budget must lie in [0, n*m]"),
+        (["--budgets", "0", "--trials", "999"], "need at least 1000 trials"),
+        # 2 * 2**62 would overflow the int64 sums, and 2**64 is no spawn key
+        (["--budgets", "0", "--m-values", str(2**62)],
+         "n*m must stay below 2**63, the int64 range of the sums"),
+        (["--budgets", "0", "--m-values", str(2**64)],
+         "n*m must stay below 2**63, the int64 range of the sums"),
+    ], ids=["budget-above-n-times-m", "too-few-trials", "n-times-m-overflows", "m-not-a-key"])
+    def test_bad_bounds_grid_exits_2_before_drawing(self, monkeypatch, capsys, flags, message):
+        def rng(self):
+            raise AssertionError("a generator was built")
+
+        monkeypatch.setattr(Seed, "rng", rng)
+        argv = ["bounds", "--seed", "1", "--n-values", "2", "--m-values", "1", *flags]
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_variance_with_one_trial_exits_2(self, capsys):
         argv = ["variance", "--seed", "1", "--n-values", "4", "--budgets", "0", "--trials", "1"]
         assert cli.main(argv) == 2
@@ -477,3 +533,58 @@ class TestCli:
             ]) == 0
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+# Run with ``python -c``: plants a fault in the package, then runs the CLI
+# on the remaining arguments.
+SHIM = "import sys\n{fault}from corrlearn import cli\nsys.exit(cli.main(sys.argv[1:]))\n"
+FAULTS = {
+    "replay-target-outside-alphabet": (
+        "from corrlearn import teacher\n"
+        "from corrlearn.mdp import Action\n"
+        "class Rogue:\n"
+        "    def action_for(self, state):\n"
+        "        return Action(7)\n"
+        "teacher.solve = lambda spec, budgets: Rogue()\n"),
+    "failed-assertion": (
+        "from corrlearn import experiments\n"
+        "def fault(config):\n"
+        "    raise AssertionError('projection moved a sum beyond the budget')\n"
+        "experiments.run_bounds = fault\n"),
+}
+
+
+@pytest.mark.parametrize("argv,fault,code,message", [
+    ("solve --n 0 --budget 1 --theta0 0.5,0.5", None, 2, "error: horizon must be at least 1\n"),
+    ("solve --n 3 --budget 1 --theta0 0.5,0.6", None, 2,
+     "error: probabilities sum to 1.1, not 1\n"),
+    ("solve --n 3 --budget -1 --theta0 0.5,0.5", None, 2, "error: budget must be nonnegative\n"),
+    ("bounds --seed 1 --n-values 2 --m-values 1 --budgets 0,3", None, 2,
+     "error: budget must lie in [0, n*m]\n"),
+    ("bounds --seed 1 --trials 999", None, 2, "error: need at least 1000 trials\n"),
+    ("multinomial --seed -1", None, 2, "error: seed must fit in an unsigned 64-bit integer\n"),
+    ("bio --seed 1 --candidates {models}", None, 2,
+     "error: candidate file {models}: must hold a JSON object, got list\n"),
+    ("solve --n 100 --budget 1 --theta0 0.2,0.2,0.2,0.2,0.2", None, 3, "exceeds the ceiling"),
+    ("multinomial --seed 1 --trials 2", "replay-target-outside-alphabet", 4,
+     "internal error: ValueError: action target 7 outside the alphabet\n"),
+    ("bounds --seed 1", "failed-assertion", 4,
+     "internal error: AssertionError: projection moved a sum beyond the budget\n"),
+], ids=["solve-n-0", "solve-theta0-sum", "solve-negative-budget", "bounds-budget-above-nm",
+        "bounds-too-few-trials", "seed-out-of-range", "malformed-candidates", "solve-state-ceiling",
+        "internal-value-error", "internal-assertion"])
+def test_process_exit_codes(tmp_path, argv, fault, code, message):
+    """Exit 2 for bad input, 3 for a ceiling and 4 for a bug, as a process."""
+    models = tmp_path / "models.json"
+    models.write_text("[1, 2]")
+    argv = argv.format(models=models).split()
+    if fault is None:
+        command = [sys.executable, "-m", "corrlearn.cli", *argv]
+    else:
+        command = [sys.executable, "-c", SHIM.format(fault=FAULTS[fault]), *argv]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
+    run = subprocess.run(command, capture_output=True, text=True, env=env, timeout=120)
+    assert (run.returncode, run.stdout) == (code, "")
+    assert message.format(models=models) in run.stderr

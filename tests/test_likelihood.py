@@ -5,7 +5,7 @@ import math
 import pytest
 
 from corrlearn.core import Categorical, CountVector, Seed
-from corrlearn.dp import root_value, solve
+from corrlearn.dp import brute_force_value, root_value, solve
 from corrlearn.likelihood import (
     CANDIDATE_FILE_VERSION,
     CandidateModel,
@@ -25,7 +25,7 @@ def candidates():
 
 
 def cv(counts):
-    return CountVector(tuple(counts), sum(counts))
+    return CountVector(tuple(counts))
 
 
 def write_candidates(candidates, path):
@@ -179,6 +179,19 @@ class TestBioTerminalReward:
         with pytest.raises(KeyError):
             bio_terminal_reward(3, candidates)
 
+    def test_unexplained_history_scores_the_worst_misidentification(self):
+        models = CandidateSet((
+            CandidateModel(1, Categorical((0.5, 0.5, 0.0))),
+            CandidateModel(4, Categorical((0.0, 0.5, 0.5))),
+            CandidateModel(6, Categorical((0.2, 0.6, 0.2))),
+        ))
+        reward = bio_terminal_reward(4, models)
+        assert reward.evaluate(cv((1, 0, 1))) == -2  # only label 6 explains it
+        models = CandidateSet(models.models[:2])
+        assert bio_terminal_reward(4, models).evaluate(cv((1, 0, 1))) == -3
+        with pytest.raises(ValueError, match="impossible"):
+            ml_estimate(cv((1, 0, 1)), models)
+
 
 class TestRewardPlumbing:
     def test_passive_root_matches_direct_expectation(self, candidates):
@@ -198,6 +211,19 @@ class TestRewardPlumbing:
                 counts[v] += 1
             direct -= prob * abs(ml_estimate(cv(counts), candidates) - 4)
         assert root_value(policy, spec, 0) == pytest.approx(direct, abs=1e-12)
+
+
+    @pytest.mark.parametrize("budget", [0, 1, 2])
+    def test_root_value_matches_brute_force_with_zero_probabilities(self, budget):
+        # relabels reach final counts that neither candidate explains
+        models = CandidateSet((
+            CandidateModel(1, Categorical((0.5, 0.5, 0.0))),
+            CandidateModel(4, Categorical((0.0, 0.5, 0.5))),
+        ))
+        true_dist = models.by_label(4).action_dist
+        spec = MdpSpec(n=3, model=true_dist, reward=bio_terminal_reward(4, models))
+        assert root_value(solve(spec, (budget,)), spec, budget) == pytest.approx(
+            brute_force_value(spec, budget), abs=1e-12)
 
 
 class TestMisclassificationExperiment:

@@ -28,7 +28,7 @@ def successors(state, action, spec):
 
 def scored(state, action, spec):
     """The reward of the final counts that acting on ``state`` leaves."""
-    return spec.reward.evaluate(CountVector(apply_action(state, action)[0], spec.n))
+    return spec.reward.evaluate(CountVector(apply_action(state, action)[0]))
 
 
 def reachable_states(spec, budget):
@@ -46,12 +46,13 @@ def reachable_states(spec, budget):
 
 class TestStateCountBound:
     def test_single_symbol(self):
-        assert state_count_bound(1, 7) == 7
+        assert state_count_bound(1, 7, 0) == 7
 
     @pytest.mark.parametrize("k,n,expected", [(2, 2, 5), (3, 2, 9)])
     def test_small_cases_match_enumeration(self, k, n, expected):
-        assert state_count_bound(k, n) == expected
-        # independent count: vectors with 1 <= sum <= n
+        # at budget 0 the bound is the vectors with 1 <= sum <= n, times k
+        assert state_count_bound(k, n, 0) == expected * k
+        # independent count of those vectors
         import itertools
         found = sum(
             1
@@ -61,17 +62,17 @@ class TestStateCountBound:
         assert found == expected
 
     def test_full_bound_multiplies_budget_and_alphabet(self):
-        assert state_count_bound(3, 4, budget=2) == state_count_bound(3, 4) * 3 * 3
+        assert state_count_bound(3, 4, budget=2) == state_count_bound(3, 4, 0) * 3
 
     def test_large_inputs_stay_exact(self):
         # would overflow fixed-width integers; Python ints must not
-        assert state_count_bound(10, 200) == sum(
+        assert state_count_bound(10, 200, 0) == 10 * sum(
             math.comb(10 + m - 1, m) for m in range(1, 201)
         )
 
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
-            state_count_bound(0, 3)
+            state_count_bound(0, 3, 0)
 
 
 class TestApplyAction:

@@ -46,7 +46,7 @@ def solved_policy(theta, n, budget):
 
 def tally(values, k):
     """Count vector of one stream."""
-    return CountVector(tuple(np.bincount(values, minlength=k).tolist()), len(values))
+    return CountVector(tuple(np.bincount(values, minlength=k).tolist()))
 
 
 def replay_one(values, k, policy, budget):
@@ -58,7 +58,7 @@ def replay_one(values, k, policy, budget):
 
 def online_error(values, policy, budget, theta):
     _, counts, _ = replay_one(values, theta.k, policy, budget)
-    return l1_error(empirical_estimate(CountVector(counts, len(values))), theta)
+    return l1_error(empirical_estimate(CountVector(counts)), theta)
 
 
 def all_streams(k, n):
@@ -74,7 +74,7 @@ def enumerated_online_error(policy, model, n, budget):
     _, counts, _ = replay_all(streams, model.k, policy, budget)
     total = 0.0
     for prob, final in zip(probs.tolist(), counts.tolist()):
-        total += prob * l1_error(empirical_estimate(CountVector(tuple(final), n)), model)
+        total += prob * l1_error(empirical_estimate(CountVector(tuple(final))), model)
     return total
 
 
@@ -182,7 +182,7 @@ class TestBinomialOptimality:
         for row, final in zip(streams, counts.tolist()):
             floor = attainable_error(
                 self.n, self.theta, budget, empirical_estimate(tally(row, 2)))
-            err = l1_error(empirical_estimate(CountVector(tuple(final), self.n)), self.theta)
+            err = l1_error(empirical_estimate(CountVector(tuple(final))), self.theta)
             assert err == pytest.approx(floor, abs=1e-12)
 
     def test_closed_form_expectation_matches_solver(self):
@@ -199,7 +199,7 @@ class TestBinomialOptimality:
             for row, final in zip(streams, counts.tolist()):
                 original = l1_error(empirical_estimate(tally(row, 2)), self.theta)
                 online = l1_error(
-                    empirical_estimate(CountVector(tuple(final), self.n)), self.theta)
+                    empirical_estimate(CountVector(tuple(final))), self.theta)
                 assert online <= original + 1e-12
 
     @settings(max_examples=60, deadline=None)
