@@ -10,7 +10,7 @@ variant, and seeded experiment runners behind a CLI.
 """
 
 from .batch import batch_correct
-from .core import Categorical, Seed, sample_sequence
+from .core import Categorical, sample_sequence, spawn
 from .dp import solve
 from .mdp import MdpSpec, l1_terminal_reward
 from .teacher import replay_all
@@ -20,10 +20,10 @@ __version__ = "0.1.0"
 __all__ = [
     "Categorical",
     "MdpSpec",
-    "Seed",
     "batch_correct",
     "l1_terminal_reward",
     "replay_all",
     "sample_sequence",
     "solve",
+    "spawn",
 ]

@@ -20,9 +20,9 @@ can put the empirical ratio above it. ``monte_carlo_report`` returns a
 ``CHUNK_ROWS`` rows and ``CHUNK_ROWS * 25`` values from the one generator
 and keeps only the per-trial sums, so its memory is O(trials) whatever n
 is, and its numbers are those of one (trials, n) draw. ``check_point``
-rejects a grid point or trial count as bad input (``ConfigError``, exit 2)
-and more than ``MAX_TRIALS`` trials with ``CeilingExceededError`` (exit 3),
-before any draw.
+rejects a grid point or trial count as bad input (``ConfigError``, exit 2),
+and more than ``MAX_TRIALS`` trials or ``MAX_TRIALS * 25`` draws with
+``CeilingExceededError`` (exit 3), before any draw.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ConfigError, Seed
+from .core import ConfigError
 from .dp import CeilingExceededError
 
 MIN_TRIALS = 1000
@@ -115,9 +115,14 @@ def check_point(n: int, m: int, b: int, trials: int) -> None:
         raise CeilingExceededError(
             f"{trials} trials exceed the ceiling {MAX_TRIALS} for a bounds grid point"
         )
+    if trials * n > MAX_TRIALS * 25:  # the draws MAX_TRIALS allows at the default n
+        raise CeilingExceededError(
+            f"{trials} trials at n={n} take {trials * n} draws, above the ceiling "
+            f"{MAX_TRIALS * 25} for a bounds grid point"
+        )
 
 
-def monte_carlo_report(n: int, m: int, b: int, trials: int, seed: Seed) -> BoundReport:
+def monte_carlo_report(n: int, m: int, b: int, trials: int, seed: int) -> BoundReport:
     """Empirical variances of the raw and corrected mean estimates.
 
     Draws ``trials`` sums of n uniform values on {0..m}, projects each sum
@@ -125,7 +130,7 @@ def monte_carlo_report(n: int, m: int, b: int, trials: int, seed: Seed) -> Bound
     scaled sums next to the analytic bounds. Deterministic per seed.
     """
     check_point(n, m, b, trials)
-    rng = seed.rng()
+    rng = np.random.default_rng(seed)
     y = np.empty(trials, dtype=np.int64)
     # numpy's ``integers`` stream does not depend on how the rows are split
     step = min(CHUNK_ROWS, max(1, CHUNK_ROWS * 25 // n))

@@ -6,8 +6,9 @@ parameter; ``--help`` shows each default. A flag or config-file field the
 experiment does not read, and an abbreviated flag, exit 2.
 
 Exit codes: 0 success; 2 bad input (a ``ConfigError`` from a check on flags or
-files, made before any solve or draw, or an ``OSError``); 3 a memory ceiling
-(solver states, ``bounds`` trials, sampled draws); 4 any other error, a bug.
+files, made before any solve or draw, or an ``OSError``); 3 a ceiling (solver
+states, ``bounds`` trials or draws per point, sampled draws); 4 any other
+error, a bug.
 """
 
 from __future__ import annotations

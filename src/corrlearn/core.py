@@ -4,10 +4,11 @@ Outcome alphabets are indexed 0..K-1 where K is the number of distinct
 values (K >= 2 everywhere). ``ConfigError`` marks bad input (exit 2 in the
 CLI); any other ``ValueError`` is a bug. All types are immutable; sampling
 takes an explicit seed per stream, so there is no shared generator state
-to protect. A stream is a row of an int array of outcome indices. Its
-uniforms are numpy's ``SeedSequence -> PCG64 -> Generator.random`` stream
-for its seed, rebuilt bit for bit for every seed in one vectorised pass;
-``Seed.rng()`` builds numpy's own generator and remains only for ``bounds``.
+to protect. Seeds are plain integers in [0, 2**64); ``spawn`` derives
+child seeds as a uint64 array. A stream is a row of an int array of outcome
+indices. Its uniforms are numpy's ``SeedSequence -> PCG64 ->
+Generator.random`` stream for its seed, rebuilt bit for bit for every seed
+in one vectorised pass.
 """
 
 from __future__ import annotations
@@ -73,38 +74,6 @@ class CountVector:
     @property
     def k(self) -> int:
         return len(self.counts)
-
-
-@dataclass(frozen=True)
-class Seed:
-    """64-bit seed. ``spawn`` derives stream-independent child seeds, so
-    parallel trials reproduce regardless of scheduling order."""
-
-    value: int
-
-    def __post_init__(self) -> None:
-        if not 0 <= self.value < 2**64:
-            raise ValueError("seed must fit in an unsigned 64-bit integer")
-
-    def rng(self) -> np.random.Generator:
-        return np.random.Generator(np.random.PCG64(np.random.SeedSequence(self.value)))
-
-    def spawn(self, *key: int) -> "Seed":
-        (child,) = self.spawn_many([key])
-        return child
-
-    def spawn_many(self, keys: Sequence[Sequence[int]]) -> list["Seed"]:
-        """``[self.spawn(*key) for key in keys]`` in one pass: the first
-        word numpy's ``SeedSequence([value, *key])`` generates. Keys are
-        equally long, of integers in [0, 2**64)."""
-        if not keys:
-            return []
-        try:
-            rows = [(self.value, *map(operator.index, key)) for key in keys]
-            entries = np.array(rows, dtype=np.uint64)
-        except OverflowError as exc:
-            raise ValueError("spawn keys must be integers in [0, 2**64)") from exc
-        return [Seed(v) for v in _seed_words(entries, 1)[:, 0].tolist()]
 
 
 def empirical_estimate(counts: CountVector) -> Categorical:
@@ -173,6 +142,20 @@ def _seed_words(entries: np.ndarray, n_words: int) -> np.ndarray:
     return out.astype("<u4").view("<u8").astype(np.uint64)
 
 
+def spawn(root: int, keys: Sequence[Sequence[int]]) -> np.ndarray:
+    """The uint64 child seed of ``root`` for each key: the first word numpy's
+    ``SeedSequence([root, *key])`` generates, so trials reproduce regardless
+    of scheduling order. Keys are equally long; the root and every key entry
+    are integers in [0, 2**64)."""
+    root = operator.index(root)
+    rows = [(root, *map(operator.index, key)) for key in keys]
+    if not all(0 <= v < 2**64 for row in [(root,), *rows] for v in row):
+        raise ValueError("seeds and spawn keys must be integers in [0, 2**64)")
+    if not rows:
+        return np.empty(0, dtype=np.uint64)
+    return _seed_words(np.array(rows, dtype=np.uint64), 1)[:, 0]
+
+
 def _mul128(a_hi, a_lo, b_hi, b_lo):
     """(a * b) mod 2**128 on (high, low) uint64 limbs, with broadcasting."""
     a1, a0, b1, b0 = a_lo >> 32, a_lo & _M32, b_lo >> 32, b_lo & _M32
@@ -188,9 +171,9 @@ def _add128(a_hi, a_lo, b_hi, b_lo):
 
 
 def _uniforms(values: np.ndarray, n: int) -> np.ndarray:
-    """Row i is ``Seed(values[i]).rng().random(n)``, computed without a
-    generator: t PCG64 steps take a state x to M**t * x + G_t * inc, with
-    G_t = sum(M**j for j < t) mod 2**128."""
+    """Row i is ``np.random.default_rng(values[i]).random(n)``, computed
+    without a generator: t PCG64 steps take a state x to M**t * x + G_t *
+    inc, with G_t = sum(M**j for j < t) mod 2**128."""
     seed_hi, seed_lo, inc_hi, inc_lo = _seed_words(values[:, None], 4).T[:, :, None]
     inc_hi, inc_lo = (inc_hi << 1) | (inc_lo >> 63), (inc_lo << 1) | 1  # 2 * stream + 1
 
@@ -211,9 +194,10 @@ def _uniforms(values: np.ndarray, n: int) -> np.ndarray:
     return (out >> 11) * (1.0 / 2**53)
 
 
-def sample_sequence(dist: Categorical, n: int, seeds: Sequence[Seed]) -> np.ndarray:
-    """Draw n i.i.d. observations from ``dist`` per seed, as the rows of a
-    (len(seeds), n) int array of outcome indices.
+def sample_sequence(dist: Categorical, n: int, seeds: np.ndarray) -> np.ndarray:
+    """Draw n i.i.d. observations from ``dist`` per seed (uint64 values, as
+    ``spawn`` returns them), as the rows of a (len(seeds), n) int array of
+    outcome indices.
 
     Identical (dist, n, seed) produce identical rows: each row's draws are
     uniforms from its own seed's PCG64 stream mapped through the cumulative
@@ -221,7 +205,7 @@ def sample_sequence(dist: Categorical, n: int, seeds: Sequence[Seed]) -> np.ndar
     """
     if n < 1:
         raise ValueError("need at least one draw")
-    u = _uniforms(np.array([seed.value for seed in seeds], dtype=np.uint64), n)
+    u = _uniforms(np.asarray(seeds, dtype=np.uint64), n)
     idx = np.searchsorted(np.cumsum(dist.probs), u, side="right")
     # The cumulative sum can undershoot 1.0 by an ulp; clamp the
     # (measure-zero) overflow.

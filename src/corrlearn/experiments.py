@@ -21,7 +21,7 @@ import numpy as np
 from .batch import attainable_error, batch_correct
 from .bounds import check_point, monte_carlo_report
 from .core import (
-    Categorical, ConfigError, CountVector, Seed, empirical_estimate, l1_error, sample_sequence,
+    Categorical, ConfigError, CountVector, empirical_estimate, l1_error, sample_sequence, spawn,
 )
 from .dp import CeilingExceededError
 from .likelihood import CandidateSet, default_candidates, misclassification_experiment
@@ -242,8 +242,7 @@ def _run_correction_records(config: ExperimentConfig, with_attainable: bool) -> 
         )
     (n,) = config.n_values
     _check_draws(config, rows_per_trial=len(config.budgets))
-    seed = Seed(config.seed)
-    streams = sample_sequence(theta0, n, seed.spawn_many([(t,) for t in range(config.trials)]))
+    streams = sample_sequence(theta0, n, spawn(config.seed, [(t,) for t in range(config.trials)]))
     originals = (streams[:, :, None] == np.arange(theta0.k)).sum(axis=1)
 
     def error(counts: CountVector) -> float:
@@ -298,11 +297,10 @@ def run_variance_sweep(config: ExperimentConfig) -> list[Row]:
         raise ConfigError("the variance experiment needs at least 2 trials")
     theta0 = _theta(config)
     _check_draws(config)
-    seed = Seed(config.seed)
     reward = l1_terminal_reward(theta0)
     rows = []
     for n in config.n_values:
-        seeds = seed.spawn_many([(n, t) for t in range(config.trials)])
+        seeds = spawn(config.seed, [(n, t) for t in range(config.trials)])
         streams = sample_sequence(theta0, n, seeds)
         for budget, counts, _ in replays(streams, theta0, reward, config.budgets):
             estimates = np.array(
@@ -322,9 +320,8 @@ def run_bounds(config: ExperimentConfig) -> list[Row]:
             for n in config.n_values for m in config.m_values for budget in config.budgets]
     for point in grid:  # every point is checked before the first draw
         check_point(*point, config.trials)
-    seeds = Seed(config.seed).spawn_many(grid)
     reports = [monte_carlo_report(*point, config.trials, seed)
-               for point, seed in zip(grid, seeds)]
+               for point, seed in zip(grid, spawn(config.seed, grid).tolist())]
     return [{
         "N": r.n, "M": r.m, "B": r.b, "trials": r.trials,
         "bound_abs": r.bound_abs, "bound_ratio_paper": r.bound_ratio_paper,
@@ -343,11 +340,11 @@ def run_bio(config: ExperimentConfig) -> list[Row]:
     if label not in candidates.labels():
         raise ConfigError(f"theta0_label {label} not among {candidates.labels()}")
     _check_draws(config)
-    seed = Seed(config.seed)
+    seeds = spawn(config.seed, [(n,) for n in config.n_values]).tolist()
     rows = []
-    for n in config.n_values:
+    for n, seed in zip(config.n_values, seeds):
         rates = misclassification_experiment(
-            label, candidates, n, config.budgets, config.trials, seed.spawn(n)
+            label, candidates, n, config.budgets, config.trials, seed
         )
         for budget in config.budgets:
             rows.append({

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
-from .core import Categorical, ConfigError, CountVector, Seed, sample_sequence
+from .core import Categorical, ConfigError, CountVector, sample_sequence, spawn
 from .mdp import TerminalReward
 from .teacher import per_distinct_counts, replays
 
@@ -152,7 +152,7 @@ def misclassification_experiment(
     n: int,
     budgets: tuple[int, ...],
     trials: int,
-    seed: Seed,
+    seed: int,
 ) -> dict[int, float]:
     """Fraction of episodes where the student identifies the wrong model,
     per budget.
@@ -166,7 +166,7 @@ def misclassification_experiment(
         raise ValueError("need at least one trial")
     true_dist = candidates.by_label(theta0_label).action_dist
     reward = bio_terminal_reward(theta0_label, candidates)
-    streams = sample_sequence(true_dist, n, seed.spawn_many([(t,) for t in range(trials)]))
+    streams = sample_sequence(true_dist, n, spawn(seed, [(t,) for t in range(trials)]))
     rates: dict[int, float] = {}
     for budget, counts, _ in replays(streams, true_dist, reward, budgets):
         labels = per_distinct_counts(lambda c: _identify(c, candidates), counts)

@@ -75,12 +75,11 @@ class MdpSpec:
 
 def state_count_bound(k: int, n: int, budget: int) -> int:
     """Bound on the (counts, budget, observation) states up to ``budget``:
-    the count vectors with 1 <= sum <= n, via multiset coefficients, times
-    (budget+1)*k. Exact integer arithmetic."""
+    the count vectors with 1 <= sum <= n, C(n+k, k) - 1 by the hockey-stick
+    identity, times (budget+1)*k. Exact integer arithmetic."""
     if k < 1 or n < 1:
         raise ValueError("k and n must be positive")
-    vectors = sum(math.comb(k + m - 1, m) for m in range(1, n + 1))
-    return vectors * (budget + 1) * k
+    return (math.comb(n + k, k) - 1) * (budget + 1) * k
 
 
 def apply_action(state: TeacherState, action: Action) -> tuple[tuple[int, ...], int]:

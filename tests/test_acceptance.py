@@ -20,7 +20,7 @@ from stat_helpers import sample_variance_se
 from corrlearn import cli
 from corrlearn.batch import attainable_error, e_min
 from corrlearn.bounds import monte_carlo_report
-from corrlearn.core import Categorical, CountVector, Seed, empirical_estimate, l1_error
+from corrlearn.core import Categorical, CountVector, empirical_estimate, l1_error, spawn
 from corrlearn.dp import brute_force_value, root_value, solve
 from corrlearn.experiments import (
     ExperimentConfig,
@@ -127,7 +127,6 @@ def test_criterion_4_closed_form_policy_value():
 
 
 def test_criterion_5_absolute_variance_bound():
-    seed = Seed(ACCEPT_SEED)
     trials = 100_000
     start = time.perf_counter()
     bound_violations = []
@@ -135,7 +134,7 @@ def test_criterion_5_absolute_variance_bound():
     for n in (5, 10, 25):
         for m in (1, 2, 4):
             for b in (0, 1, 3, 5):
-                rep = monte_carlo_report(n, m, b, trials, seed.spawn(n, m, b))
+                rep = monte_carlo_report(n, m, b, trials, spawn(ACCEPT_SEED, [(n, m, b)])[0])
                 if rep.empirical_var_corrected > rep.bound_abs:
                     bound_violations.append((n, m, b))
                 truth = m * (m + 2) / (12 * n)

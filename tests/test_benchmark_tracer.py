@@ -50,6 +50,16 @@ def test_tracer_covers_the_package():
     assert out["calls"]["dp.solve"] == 1
 
 
+def test_traced_bounds_grid_counts_every_point():
+    # the monte_carlo_report hook keys each point by its arguments, seed included
+    out = traced(["bounds", "--seed", "1", "--trials", "1000", "--n-values", "2,3",
+                  "--m-values", "1,2", "--budgets", "0,1"])
+    assert out["code"] == 0
+    assert out["missing"] == DELETED_SPANS
+    assert out["counters"]["bounds.monte_carlo_report.points"] == 2 * 2 * 2
+    assert out["counters"]["bounds.monte_carlo_report.draws"] == 1000 * (2 + 3) * 2 * 2
+
+
 @pytest.mark.parametrize("argv", [
     ["solve", "--n", "3", "--budget", "1", "--theta0", "0.5,0.5"],
     ["variance", "--seed", "1", "--trials", "2", "--n-values", "3", "--budgets", "0,1"],

@@ -11,15 +11,18 @@ from stat_helpers import sample_variance_se, uniform_central_moments
 
 from corrlearn.bounds import (
     CHUNK_ROWS,
+    MAX_TRIALS,
     MIN_TRIALS,
     BoundReport,
     _check_grid,
+    check_point,
     monte_carlo_report,
     project_sum,
     var_bound_abs,
     var_bound_ratio_paper,
 )
-from corrlearn.core import Seed
+from corrlearn.core import spawn
+from corrlearn.dp import CeilingExceededError
 
 
 def brute_project(y, target, budget, upper=None):
@@ -121,7 +124,7 @@ class TestUniformVariance:
 
 class TestMonteCarloReport:
     def test_zero_budget_leaves_variance_alone(self):
-        report = monte_carlo_report(10, 2, 0, 20_000, Seed(101))
+        report = monte_carlo_report(10, 2, 0, 20_000, 101)
         assert report.empirical_var_corrected == report.empirical_var_original
         truth = 2 * (2 + 2) / (12 * 10)
         se = sample_variance_se(10, 2, 20_000)
@@ -131,39 +134,36 @@ class TestMonteCarloReport:
         # with b >= n*m every sum reaches the same rounding of the target,
         # including half-integer targets (n*m odd), so the variance is 0
         for n, m in ((10, 2), (8, 1), (5, 1)):
-            report = monte_carlo_report(n, m, n * m, 2_000, Seed(5))
+            report = monte_carlo_report(n, m, n * m, 2_000, 5)
             assert report.empirical_var_corrected == 0.0
 
     def test_absolute_bound_holds_on_small_grid(self):
         for n in (5, 10):
             for m in (1, 2):
                 for b in (0, 1, 3):
-                    report = monte_carlo_report(n, m, b, 20_000, Seed(7).spawn(n, m, b))
+                    report = monte_carlo_report(n, m, b, 20_000, spawn(7, [(n, m, b)])[0])
                     assert report.empirical_var_corrected <= report.bound_abs
 
     def test_variance_nonincreasing_in_budget(self):
         for m in (1, 2):
             last = math.inf
             for b in range(0, 7):
-                report = monte_carlo_report(10, m, b, 20_000, Seed(9))
+                report = monte_carlo_report(10, m, b, 20_000, 9)
                 assert report.empirical_var_corrected <= last + 1e-15
                 last = report.empirical_var_corrected
 
     def test_deterministic_per_seed(self):
-        a = monte_carlo_report(10, 2, 3, 5_000, Seed(33))
-        b = monte_carlo_report(10, 2, 3, 5_000, Seed(33))
+        a = monte_carlo_report(10, 2, 3, 5_000, 33)
+        b = monte_carlo_report(10, 2, 3, 5_000, 33)
         assert a == b
-        c = monte_carlo_report(10, 2, 3, 5_000, Seed(34))
+        c = monte_carlo_report(10, 2, 3, 5_000, 34)
         assert c.empirical_var_corrected != a.empirical_var_corrected
 
     def test_matches_scalar_projection(self):
         # the vectorised path must agree with project_sum trial by trial
-        import numpy as np
-
         n, m, b = 7, 2, 3
-        seed = Seed(77)
-        report = monte_carlo_report(n, m, b, 1_000, seed)
-        rng = seed.rng()
+        report = monte_carlo_report(n, m, b, 1_000, 77)
+        rng = np.random.default_rng(77)
         draws = rng.integers(0, m + 1, size=(1_000, n))
         y = draws.sum(axis=1)
         target = n * m / 2
@@ -174,15 +174,24 @@ class TestMonteCarloReport:
 
     def test_too_few_trials_rejected(self):
         with pytest.raises(ValueError, match="trials"):
-            monte_carlo_report(10, 1, 0, 999, Seed(1))
+            monte_carlo_report(10, 1, 0, 999, 1)
+
+    def test_draws_past_the_ceiling_rejected(self):
+        # MAX_TRIALS * 25 draws: what the trials ceiling allows at n = 25
+        check_point(25, 1, 0, MAX_TRIALS)
+        check_point(MAX_TRIALS * 25 // MIN_TRIALS, 1, 0, MIN_TRIALS)
+        with pytest.raises(CeilingExceededError, match="take 1300000000 draws"):
+            check_point(26, 1, 0, MAX_TRIALS)
+        with pytest.raises(CeilingExceededError, match="above the ceiling 1250000000"):
+            check_point(MAX_TRIALS * 25 // MIN_TRIALS + 1, 1, 0, MIN_TRIALS)
 
     def test_traced_memory_does_not_grow_with_n(self):
         # a whole (trials, n) draw matrix would take 8n = 200 bytes a trial
         trials = 200_000
-        monte_carlo_report(25, 4, 3, MIN_TRIALS, Seed(7))  # first-call set-up
+        monte_carlo_report(25, 4, 3, MIN_TRIALS, 7)  # first-call set-up
         tracemalloc.start()
         try:
-            monte_carlo_report(25, 4, 3, trials, Seed(7))
+            monte_carlo_report(25, 4, 3, trials, 7)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -194,7 +203,7 @@ def one_shot_report(n, m, b, trials, seed):
     and projecting through both clipped candidates: the reference the
     blocked kernel must match bit for bit."""
     _check_grid(n, m, b)
-    y = seed.rng().integers(0, m + 1, size=(trials, n)).sum(axis=1)
+    y = np.random.default_rng(seed).integers(0, m + 1, size=(trials, n)).sum(axis=1)
     target = n * m / 2.0
     lo = np.maximum(y - b, 0)
     hi = np.minimum(y + b, n * m)
@@ -226,7 +235,7 @@ class TestBlockedKernel:
         for n in (1, 3, 7, 25):
             for m in (1, 2, 3, 4):
                 for b in sorted({0, 1, n * m // 2, n * m}):
-                    seed = Seed(11).spawn(trials, n, m, b)
+                    seed = spawn(11, [(trials, n, m, b)])[0]
                     got = monte_carlo_report(n, m, b, trials, seed)
                     if repr(got) != repr(one_shot_report(n, m, b, trials, seed)):
                         differ.append((n, m, b))
@@ -235,16 +244,16 @@ class TestBlockedKernel:
     def test_matches_one_shot_reference_at_large_n(self):
         # 199-row blocks of 1025 draws: an odd number of values per block
         n, m, b = 1025, 3, 40
-        seed = Seed(12)
+        seed = 12
         assert repr(monte_carlo_report(n, m, b, MIN_TRIALS, seed)) == repr(
             one_shot_report(n, m, b, MIN_TRIALS, seed))
 
     def test_block_memory_does_not_grow_with_n(self):
         # one block of all 1000 rows at n = 5000 would take 40 MB
-        monte_carlo_report(5_000, 1, 0, MIN_TRIALS, Seed(3))  # first-call set-up
+        monte_carlo_report(5_000, 1, 0, MIN_TRIALS, 3)  # first-call set-up
         tracemalloc.start()
         try:
-            monte_carlo_report(5_000, 1, 0, MIN_TRIALS, Seed(3))
+            monte_carlo_report(5_000, 1, 0, MIN_TRIALS, 3)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -287,7 +296,7 @@ class TestExactOracle:
         (5, 1, 1), (10, 2, 0), (10, 2, 3), (25, 4, 5), (8, 3, 12),
     ])
     def test_monte_carlo_within_three_sigma_of_exact(self, n, m, b):
-        report = monte_carlo_report(n, m, b, self.TRIALS, Seed(2024).spawn(n, m, b))
+        report = monte_carlo_report(n, m, b, self.TRIALS, spawn(2024, [(n, m, b)])[0])
         exact = uniform_exact_moments(n, m, b)
         empirical = (report.empirical_var_original, report.empirical_var_corrected)
         t = self.TRIALS

@@ -10,10 +10,10 @@ from corrlearn import core
 from corrlearn.core import (
     Categorical,
     CountVector,
-    Seed,
     empirical_estimate,
     l1_error,
     sample_sequence,
+    spawn,
 )
 
 
@@ -95,33 +95,33 @@ class TestL1Error:
 class TestSampleSequence:
     def test_deterministic_per_seed(self):
         dist = Categorical((0.4, 0.3, 0.3))
-        a = sample_sequence(dist, 200, [Seed(99)])
-        b = sample_sequence(dist, 200, [Seed(99)])
+        a = sample_sequence(dist, 200, [99])
+        b = sample_sequence(dist, 200, [99])
         assert a.shape == (1, 200)
         assert np.array_equal(a, b)
-        assert not np.array_equal(sample_sequence(dist, 200, [Seed(100)]), a)
+        assert not np.array_equal(sample_sequence(dist, 200, [100]), a)
 
     def test_degenerate_distribution(self):
-        streams = sample_sequence(Categorical((1.0, 0.0)), 4, [Seed(5)])
+        streams = sample_sequence(Categorical((1.0, 0.0)), 4, [5])
         assert streams.tolist() == [[0, 0, 0, 0]]
 
     def test_law_of_large_numbers(self):
         # SE of the frequency is ~0.0016 at this size; 0.01 is > 3 sigma.
-        (row,) = sample_sequence(Categorical((0.5, 0.5)), 100_000, [Seed(42)])
+        (row,) = sample_sequence(Categorical((0.5, 0.5)), 100_000, [42])
         assert abs((row == 0).mean() - 0.5) < 0.01
 
     def test_zero_draws_rejected(self):
         with pytest.raises(ValueError):
-            sample_sequence(Categorical((0.5, 0.5)), 0, [Seed(1)])
+            sample_sequence(Categorical((0.5, 0.5)), 0, [1])
 
     def test_values_in_alphabet(self):
-        streams = sample_sequence(Categorical((0.2, 0.5, 0.3)), 500, [Seed(7)])
+        streams = sample_sequence(Categorical((0.2, 0.5, 0.3)), 500, [7])
         assert ((0 <= streams) & (streams < 3)).all()
 
     def test_each_row_is_its_own_seeds_draw(self):
         theta = Categorical((0.4, 0.3, 0.3))
         for n in (1, 5, 25):
-            seeds = [Seed(7).spawn(n, t) for t in range(30)]
+            seeds = spawn(7, [(n, t) for t in range(30)])
             streams = sample_sequence(theta, n, seeds)
             assert streams.shape == (30, n)
             for t, seed in enumerate(seeds):
@@ -131,7 +131,7 @@ class TestSampleSequence:
         # Rows keyed as the variance experiment keys them; a change here
         # moves every experiment's output.
         streams = sample_sequence(
-            Categorical((0.4, 0.3, 0.3)), 5, [Seed(7).spawn(5, t) for t in range(4)])
+            Categorical((0.4, 0.3, 0.3)), 5, spawn(7, [(5, t) for t in range(4)]))
         assert streams.tolist() == [
             [1, 2, 2, 2, 0], [1, 0, 2, 0, 0], [0, 2, 1, 1, 0], [0, 0, 2, 0, 0]]
 
@@ -150,29 +150,38 @@ class TestCountsFromSequence:
             n = rng.randint(1, 40)
             raw = [rng.random() + 0.05 for _ in range(k)]
             dist = Categorical(tuple(x / math.fsum(raw) for x in raw))
-            (row,) = sample_sequence(dist, n, [Seed(rng.randrange(2**32))])
+            (row,) = sample_sequence(dist, n, [rng.randrange(2**32)])
             counts = np.bincount(row, minlength=k)
             assert len(counts) == k
             assert CountVector(tuple(counts)).total == n
 
 
 class TestSeed:
+    """Seeds are plain integers; ``spawn`` derives child seeds as uint64."""
+
     def test_spawn_is_deterministic_and_distinct(self):
-        s = Seed(123)
-        assert s.spawn(4) == s.spawn(4)
-        children = {s.spawn(i).value for i in range(50)}
-        assert len(children) == 50
+        children = spawn(123, [(i,) for i in range(50)])
+        assert children.dtype == np.uint64
+        assert np.array_equal(children, spawn(123, [(i,) for i in range(50)]))
+        assert spawn(123, [(4,)])[0] == children[4]
+        assert len(set(children.tolist())) == 50
 
     def test_rng_streams_reproduce(self):
-        a = Seed(7).rng().random(5)
-        b = Seed(7).rng().random(5)
-        assert np.array_equal(a, b)
+        # ``bounds`` draws from default_rng(seed), numpy's SeedSequence ->
+        # PCG64 -> Generator stream for that seed, at roots of 1 and 2 words
+        for seed in (0, 7, 2**32 + 5, 2**64 - 1):
+            a = np.random.default_rng(seed)
+            b = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+            assert np.array_equal(a.integers(0, 5, size=(3, 7)), b.integers(0, 5, size=(3, 7)))
+            assert np.array_equal(a.random(5), b.random(5))
 
     def test_rejects_out_of_range(self):
-        with pytest.raises(ValueError):
-            Seed(-1)
-        with pytest.raises(ValueError):
-            Seed(2**64)
+        # checked before numpy sees the value: numpy 1.x wraps a negative
+        # int with a warning, and numpy 2 raises OverflowError, no ValueError
+        for root in (-1, 2**64):
+            for keys in ([(0,)], []):
+                with pytest.raises(ValueError, match=r"integers in \[0, 2\*\*64\)"):
+                    spawn(root, keys)
 
 
 EDGE_SEEDS = (0, 2**32 - 1, 2**32, 2**63, 2**64 - 1)
@@ -200,13 +209,13 @@ class TestStreamKernel:
     )
     def test_spawn_matches_seed_sequence(self, value, keys):
         expected = [numpy_spawn(value, key) for key in keys]
-        assert [s.value for s in Seed(value).spawn_many(keys)] == expected
-        assert Seed(value).spawn(*keys[0]).value == expected[0]
+        assert spawn(value, keys).tolist() == expected
+        assert spawn(value, keys[:1]).tolist() == expected[:1]
 
     @pytest.mark.parametrize("value", EDGE_SEEDS)
     @pytest.mark.parametrize("key", [(), (0,), (2**32 - 1, 2**32), (5, 2**64 - 1, 7)])
     def test_spawn_at_edge_seeds(self, value, key):
-        assert Seed(value).spawn(*key).value == numpy_spawn(value, key)
+        assert spawn(value, [key]).tolist() == [numpy_spawn(value, key)]
 
     @pytest.mark.parametrize("n", [1, 5, 40])
     def test_uniforms_at_edge_seeds(self, n):
@@ -233,23 +242,26 @@ class TestStreamKernel:
         for name in ("SeedSequence", "PCG64"):
             monkeypatch.setattr(core.np.random, name, refuse)
         monkeypatch.setattr(core.np, "unique", refuse)
-        seeds = Seed(7).spawn_many([(25, t) for t in range(2000)])
-        assert Seed(7).spawn(25, 0) == seeds[0]
+        seeds = spawn(7, [(25, t) for t in range(2000)])
+        assert spawn(7, [(25, 0)])[0] == seeds[0]
         streams = sample_sequence(Categorical((0.4, 0.3, 0.3)), 25, seeds)
         assert streams.shape == (2000, 25)
 
     def test_bad_keys_rejected(self):
         with pytest.raises(TypeError):
-            Seed(1).spawn(1.5)
+            spawn(1, [(1.5,)])
+        with pytest.raises(TypeError):
+            spawn(1.5, [(1,)])
+        with pytest.raises(ValueError, match=r"integers in \[0, 2\*\*64\)"):
+            spawn(1, [(-1,)])
+        with pytest.raises(ValueError, match=r"integers in \[0, 2\*\*64\)"):
+            spawn(1, [(0,), (2**64,)])
         with pytest.raises(ValueError):
-            Seed(1).spawn(-1)
-        with pytest.raises(ValueError):
-            Seed(1).spawn(2**64)
-        with pytest.raises(ValueError):
-            Seed(1).spawn_many([(1,), (1, 2)])
+            spawn(1, [(1,), (1, 2)])
 
     def test_no_keys_give_no_seeds(self):
-        assert Seed(1).spawn_many([]) == []
+        seeds = spawn(1, [])
+        assert (seeds.shape, seeds.dtype) == ((0,), np.uint64)
 
 
 class TestCountVector:

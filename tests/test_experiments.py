@@ -9,7 +9,7 @@ import pytest
 
 from corrlearn import bounds, cli, dp, experiments, teacher
 from corrlearn.batch import e_min
-from corrlearn.core import Categorical, Seed, sample_sequence
+from corrlearn.core import Categorical, sample_sequence, spawn
 from corrlearn.dp import DEFAULT_STATE_CEILING, Policy
 from corrlearn.experiments import (
     EXPERIMENTS,
@@ -149,7 +149,7 @@ class TestMultinomialRunner:
         EXPERIMENTS[experiment].run(config(
             experiment=experiment, trials=40, n_values=(12,), budgets=(1,), theta0=theta0))
         streams = sample_sequence(
-            Categorical(theta0), 12, [Seed(4242).spawn(t) for t in range(40)])
+            Categorical(theta0), 12, spawn(4242, [(t,) for t in range(40)]))
         expected = [np.bincount(row, minlength=len(theta0)) for row in streams]
         assert np.array_equal(tallied[0], expected)
 
@@ -379,15 +379,28 @@ class TestCli:
         assert "exceeds the ceiling" in capsys.readouterr().err
 
     def test_trials_over_the_ceiling_exit_3_before_drawing(self, monkeypatch, capsys):
-        def rng(self):
+        def rng(*args, **kwargs):
             raise AssertionError("a generator was built")
 
         monkeypatch.setattr(bounds, "MAX_TRIALS", 1500)
-        monkeypatch.setattr(Seed, "rng", rng)
+        monkeypatch.setattr(bounds.np.random, "default_rng", rng)
         argv = ["bounds", "--seed", "1", "--trials", "1501", "--n-values", "25",
                 "--m-values", "4", "--budgets", "3"]
         assert cli.main(argv) == 3
         assert "1501 trials exceed the ceiling 1500" in capsys.readouterr().err
+
+    def test_bounds_draws_over_the_ceiling_exit_3_before_drawing(self, monkeypatch, capsys):
+        def rng(*args, **kwargs):
+            raise AssertionError("a generator was built")
+
+        monkeypatch.setattr(bounds.np.random, "default_rng", rng)
+        # the grid is checked whole, so the n=5 points draw nothing either
+        argv = ["bounds", "--seed", "1", "--trials", "1000", "--n-values", f"5,{2**40}",
+                "--m-values", "1", "--budgets", "0"]
+        assert cli.main(argv) == 3
+        assert capsys.readouterr().err == (
+            f"error: 1000 trials at n={2**40} take {1000 * 2**40} draws, above the ceiling "
+            "1250000000 for a bounds grid point\n")
 
     @pytest.mark.parametrize("experiment,rows_per_trial", [
         ("multinomial", 1), ("binomial", 1), ("variance", 0), ("bio", 0)])
@@ -400,11 +413,11 @@ class TestCli:
         assert cli.main(argv) == 0
         capsys.readouterr()
 
-        def spawn_many(self, keys):
+        def refuse(*args, **kwargs):
             raise AssertionError("seeds were spawned")
 
         monkeypatch.setattr(experiments, "MAX_DRAWS", units - 1)
-        monkeypatch.setattr(Seed, "spawn_many", spawn_many)
+        monkeypatch.setattr(experiments, "spawn", refuse)
         assert cli.main(argv) == 3
         assert f"{units} draw units, above the ceiling {units - 1}" in capsys.readouterr().err
 
@@ -418,10 +431,10 @@ class TestCli:
          "n*m must stay below 2**63, the int64 range of the sums"),
     ], ids=["budget-above-n-times-m", "too-few-trials", "n-times-m-overflows", "m-not-a-key"])
     def test_bad_bounds_grid_exits_2_before_drawing(self, monkeypatch, capsys, flags, message):
-        def rng(self):
+        def rng(*args, **kwargs):
             raise AssertionError("a generator was built")
 
-        monkeypatch.setattr(Seed, "rng", rng)
+        monkeypatch.setattr(bounds.np.random, "default_rng", rng)
         argv = ["bounds", "--seed", "1", "--n-values", "2", "--m-values", "1", *flags]
         assert cli.main(argv) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
@@ -567,13 +580,16 @@ FAULTS = {
     ("bio --seed 1 --candidates {models}", None, 2,
      "error: candidate file {models}: must hold a JSON object, got list\n"),
     ("solve --n 100 --budget 1 --theta0 0.2,0.2,0.2,0.2,0.2", None, 3, "exceeds the ceiling"),
+    ("solve --n 1000000000000 --budget 0 --theta0 0.5,0.5", None, 3, "exceeds the ceiling"),
+    ("bounds --seed 1 --trials 1000 --n-values 1099511627776 --m-values 1 --budgets 0", None, 3,
+     "draws, above the ceiling 1250000000 for a bounds grid point\n"),
     ("multinomial --seed 1 --trials 2", "replay-target-outside-alphabet", 4,
      "internal error: ValueError: action target 7 outside the alphabet\n"),
     ("bounds --seed 1", "failed-assertion", 4,
      "internal error: AssertionError: projection moved a sum beyond the budget\n"),
 ], ids=["solve-n-0", "solve-theta0-sum", "solve-negative-budget", "bounds-budget-above-nm",
         "bounds-too-few-trials", "seed-out-of-range", "malformed-candidates", "solve-state-ceiling",
-        "internal-value-error", "internal-assertion"])
+        "solve-huge-n", "bounds-huge-n", "internal-value-error", "internal-assertion"])
 def test_process_exit_codes(tmp_path, argv, fault, code, message):
     """Exit 2 for bad input, 3 for a ceiling and 4 for a bug, as a process."""
     models = tmp_path / "models.json"

@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from corrlearn.core import Categorical, CountVector, Seed
+from corrlearn.core import Categorical, CountVector
 from corrlearn.dp import brute_force_value, root_value, solve
 from corrlearn.likelihood import (
     CANDIDATE_FILE_VERSION,
@@ -229,15 +229,15 @@ class TestRewardPlumbing:
 class TestMisclassificationExperiment:
     def test_rates_fall_with_budget(self, candidates):
         rates = misclassification_experiment(
-            4, candidates, 8, (0, 1, 2), 1000, Seed(501)
+            4, candidates, 8, (0, 1, 2), 1000, 501
         )
         assert rates[0] > rates[1] >= rates[2]
 
     def test_deterministic_per_seed(self, candidates):
-        a = misclassification_experiment(4, candidates, 6, (0, 1), 300, Seed(77))
-        b = misclassification_experiment(4, candidates, 6, (0, 1), 300, Seed(77))
+        a = misclassification_experiment(4, candidates, 6, (0, 1), 300, 77)
+        b = misclassification_experiment(4, candidates, 6, (0, 1), 300, 77)
         assert a == b
 
     def test_rejects_empty_trials(self, candidates):
         with pytest.raises(ValueError):
-            misclassification_experiment(4, candidates, 6, (0,), 0, Seed(1))
+            misclassification_experiment(4, candidates, 6, (0,), 0, 1)

@@ -64,6 +64,14 @@ class TestStateCountBound:
     def test_full_bound_multiplies_budget_and_alphabet(self):
         assert state_count_bound(3, 4, budget=2) == state_count_bound(3, 4, 0) * 3
 
+    @pytest.mark.parametrize("k", range(1, 6))
+    def test_closed_form_matches_the_summation(self, k):
+        # the count vectors with 1 <= sum <= n, summed size by size
+        for n in range(1, 13):
+            vectors = sum(math.comb(k + m - 1, m) for m in range(1, n + 1))
+            for budget in range(4):
+                assert state_count_bound(k, n, budget) == vectors * (budget + 1) * k
+
     def test_large_inputs_stay_exact(self):
         # would overflow fixed-width integers; Python ints must not
         assert state_count_bound(10, 200, 0) == 10 * sum(

@@ -12,10 +12,10 @@ from corrlearn.batch import attainable_error, batch_correct
 from corrlearn.core import (
     Categorical,
     CountVector,
-    Seed,
     empirical_estimate,
     l1_error,
     sample_sequence,
+    spawn,
 )
 from corrlearn.dp import root_value, solve
 from corrlearn.mdp import (
@@ -84,7 +84,7 @@ class TestRunOnline:
     def test_zero_budget_passes_everything_through(self):
         theta = Categorical((0.4, 0.3, 0.3))
         policy, _ = solved_policy(theta, 6, 0)
-        (row,) = sample_sequence(theta, 6, [Seed(12)])
+        (row,) = sample_sequence(theta, 6, [12])
         corrected, _, spent = replay_one(row, 3, policy, 0)
         assert corrected == tuple(row.tolist())
         assert spent == 0
@@ -101,7 +101,7 @@ class TestRunOnline:
     def test_changes_match_budget_spent(self):
         theta = Categorical((0.4, 0.3, 0.3))
         policy, _ = solved_policy(theta, 5, 2)
-        streams = sample_sequence(theta, 5, [Seed(1000).spawn(t) for t in range(40)])
+        streams = sample_sequence(theta, 5, spawn(1000, [(t,) for t in range(40)]))
         for row in streams.tolist():
             corrected, counts, spent = replay_one(row, 3, policy, 2)
             diffs = sum(1 for a, b in zip(row, corrected) if a != b)
@@ -123,17 +123,17 @@ class TestRunOnline:
     def test_mismatched_policy_rejected(self):
         theta = Categorical((0.5, 0.5))
         policy, _ = solved_policy(theta, 4, 1)
-        (row,) = sample_sequence(theta, 4, [Seed(3)])
+        (row,) = sample_sequence(theta, 4, [3])
         with pytest.raises(ValueError, match="solved for"):
             replay_one(row, 2, policy, 2)
         with pytest.raises(ValueError, match="solved for"):
-            replay_one(sample_sequence(theta, 5, [Seed(3)])[0], 2, policy, 1)
+            replay_one(sample_sequence(theta, 5, [3])[0], 2, policy, 1)
 
     def test_shared_policy_serves_exactly_its_start_budgets(self):
         theta = Categorical((0.5, 0.5))
         policy = solve(spec_for(theta, 4), (3, 0))
         assert policy.budgets == (0, 3)
-        (row,) = sample_sequence(theta, 4, [Seed(3)])
+        (row,) = sample_sequence(theta, 4, [3])
         for budget in (0, 3):
             assert replay_one(row, 2, policy, budget) == stream_replay(row, 2, policy, budget)
         for budget in (1, 2, 4):
@@ -229,7 +229,7 @@ class TestMultinomialBehaviour:
         theta = Categorical((0.4, 0.3, 0.3))
         policy, _ = solved_policy(theta, 5, 1)
         orig, online = [], []
-        for row in sample_sequence(theta, 5, [Seed(2000).spawn(t) for t in range(60)]):
+        for row in sample_sequence(theta, 5, spawn(2000, [(t,) for t in range(60)])):
             orig.append(l1_error(empirical_estimate(tally(row, 3)), theta))
             online.append(online_error(row, policy, 1, theta))
         assert sum(online) / len(online) <= sum(orig) / len(orig)
@@ -239,7 +239,7 @@ class TestMultinomialBehaviour:
         rng = random.Random(61)
         for budget in (0, 1, 2):
             policy, _ = solved_policy(theta, 5, budget)
-            seeds = [Seed(rng.randrange(2**32)) for _ in range(40)]
+            seeds = [rng.randrange(2**32) for _ in range(40)]
             for row in sample_sequence(theta, 5, seeds):
                 err = online_error(row, policy, budget, theta)
                 batch = batch_correct(tally(row, 3), theta, budget).error
@@ -373,7 +373,7 @@ class TestReplayAll:
     )
     def test_replays_spend_within_budget_and_keep_n_draws(self, probs, n, budgets, seed):
         theta = Categorical(probs)
-        streams = sample_sequence(theta, n, [Seed(seed).spawn(t) for t in range(8)])
+        streams = sample_sequence(theta, n, spawn(seed, [(t,) for t in range(8)]))
         policy = solve(spec_for(theta, n), budgets)
         for budget in budgets:
             corrected, counts, spent = replay_all(streams, theta.k, policy, budget)
@@ -388,7 +388,7 @@ class TestReplays:
     @pytest.mark.parametrize("budgets", [(0, 2, 1), (1, 1)])
     def test_matches_per_budget_solve_and_per_stream_replay(self, budgets):
         theta = Categorical((0.4, 0.3, 0.3))
-        streams = sample_sequence(theta, 5, [Seed(77).spawn(t) for t in range(10)])
+        streams = sample_sequence(theta, 5, spawn(77, [(t,) for t in range(10)]))
         seen = []
         for budget, counts, spent in replays(
             streams, theta, l1_terminal_reward(theta), budgets
@@ -409,7 +409,7 @@ class TestReplays:
 
         monkeypatch.setattr(teacher, "solve", counted)
         theta = Categorical((0.5, 0.5))
-        streams = sample_sequence(theta, 4, [Seed(5).spawn(t) for t in range(3)])
+        streams = sample_sequence(theta, 4, spawn(5, [(t,) for t in range(3)]))
         budgets = [budget for budget, _, _ in replays(
             streams, theta, l1_terminal_reward(theta), (2, 0, 2))]
         assert budgets == [2, 0, 2]
