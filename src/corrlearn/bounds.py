@@ -17,12 +17,15 @@ can put the empirical ratio above it. ``monte_carlo_report`` returns a
 ``BoundReport``; the ``bounds`` experiment lays out its columns.
 
 ``monte_carlo_report`` draws uniformly in blocks of at most
-``CHUNK_ROWS`` rows and ``CHUNK_ROWS * 25`` values from the one generator
+``CHUNK_ROWS`` rows and ``CHUNK_ROWS * 25`` values from the one generator,
+as 32-bit values while M < 2**32 (the same stream numpy gives as int64),
 and keeps only the per-trial sums, so its memory is O(trials) whatever n
-is, and its numbers are those of one (trials, n) draw. ``check_point``
-rejects a grid point or trial count as bad input (``ConfigError``, exit 2),
-and more than ``MAX_TRIALS`` trials or ``MAX_TRIALS * 25`` draws with
-``CeilingExceededError`` (exit 3), before any draw.
+is, and its numbers are those of one (trials, n) draw. ``project_sums``
+moves each sum to the point of [Y-B, Y+B] nearest the target, ties to the
+smaller value. ``check_point`` rejects a grid point or trial count as bad
+input (``ConfigError``, exit 2), and more than ``MAX_TRIALS`` trials or
+``MAX_TRIALS * 25`` draws with ``CeilingExceededError`` (exit 3), before
+any draw.
 """
 
 from __future__ import annotations
@@ -40,9 +43,10 @@ MIN_TRIALS = 1000
 # stays at CHUNK_ROWS * 25 values: 8192-16384 rows ran the 36-point,
 # 100k-trial ``bounds`` grid fastest; 2048 and 65536 took ~10% longer.
 CHUNK_ROWS = 8192
-# A grid point's peak RSS grows by 32 bytes per trial whatever n is (VmHWM
-# growth at 2-4M trials, n in {5, 25, 100}, Python 3.11), so 50M trials at
-# up to ~40 bytes each stays near the solver ceiling's ~2 GB.
+# A grid point's peak RSS grows by 24 bytes per trial whatever n is: the
+# sums, the corrected sums and np.var's float copy (VmHWM growth at 2-4M
+# trials, n in {5, 25, 100}, Python 3.11). So 50M trials take ~1.2 GB,
+# below the solver ceiling's ~2 GB.
 MAX_TRIALS = 50_000_000
 
 
@@ -57,30 +61,6 @@ class BoundReport:
     empirical_var_original: float
     empirical_var_corrected: float
     empirical_ratio: float
-
-
-def project_sum(y: int, target: float, budget: int, upper: int | None = None) -> int:
-    """Integer in [y-budget, y+budget] nearest to ``target``.
-
-    The window is clipped to [0, upper] when ``upper`` is given. Ties go
-    to the smaller value: breaking them toward y instead would let the
-    raw sum's randomness survive into the corrected one at half-integer
-    targets, keeping its variance away from zero however large the
-    budget (and past the variance-decrease bound this module verifies).
-    """
-    if budget < 0:
-        raise ValueError("budget must be nonnegative")
-    if y < 0:
-        raise ValueError("sum must be nonnegative")
-    lo = max(0, y - budget)
-    hi = y + budget
-    if upper is not None:
-        hi = min(hi, upper)
-        if lo > hi:
-            raise ValueError("projection window is empty")
-    # The optimum is floor(target) or ceil(target) clipped into the window.
-    cands = {min(max(math.floor(target), lo), hi), min(max(math.ceil(target), lo), hi)}
-    return min(cands, key=lambda z: (abs(z - target), z))
 
 
 def var_bound_abs(n: int, m: int, b: int) -> float:
@@ -122,6 +102,18 @@ def check_point(n: int, m: int, b: int, trials: int) -> None:
         )
 
 
+def project_sums(y: np.ndarray, n: int, m: int, b: int) -> np.ndarray:
+    """The int64 sums ``y``, each in [0, n*m], moved by at most b toward
+    n*m/2: to the point of [y-b, y+b] nearest n*m/2, ties to the smaller
+    value. That is y plus its distance to n*m // 2 clipped to [-b, b];
+    n*m // 2 lies in [0, n*m] too, so no moved sum leaves that range."""
+    moved = np.subtract(n * m // 2, y)
+    np.clip(moved, -b, b, out=moved)
+    if moved.max(initial=0) > b or moved.min(initial=0) < -b:
+        raise AssertionError("projection moved a sum beyond the budget")
+    return np.add(moved, y, out=moved)
+
+
 def monte_carlo_report(n: int, m: int, b: int, trials: int, seed: int) -> BoundReport:
     """Empirical variances of the raw and corrected mean estimates.
 
@@ -132,25 +124,21 @@ def monte_carlo_report(n: int, m: int, b: int, trials: int, seed: int) -> BoundR
     check_point(n, m, b, trials)
     rng = np.random.default_rng(seed)
     y = np.empty(trials, dtype=np.int64)
-    # numpy's ``integers`` stream does not depend on how the rows are split
+    # numpy's ``integers`` stream depends neither on how the rows are split
+    # nor, for ranges below 2**32, on the dtype: both draw 32-bit words
+    dtype = np.uint32 if m < 2**32 else np.int64
     step = min(CHUNK_ROWS, max(1, CHUNK_ROWS * 25 // n))
     for start in range(0, trials, step):
         rows = min(step, trials - start)
-        block = rng.integers(0, m + 1, size=(rows, n))
-        np.einsum("ij->i", block, out=y[start:start + rows])
+        block = rng.integers(0, m + 1, size=(rows, n), dtype=dtype)
+        np.einsum("ij->i", block, out=y[start:start + rows], dtype=np.int64)
 
-    # Vectorised project_sum toward n*m/2: clipping the integer nearest to
-    # it (ties to the floor, the scalar tie rule) into each trial's window
-    # gives the window's nearest point.
-    nearest = n * m // 2
-    y_tilde = np.clip(nearest, np.maximum(y - b, 0), np.minimum(y + b, n * m))
-    if int(np.abs(y_tilde - y).max(initial=0)) > b:
-        raise AssertionError("projection moved a sum beyond the budget")
+    corrected = project_sums(y, n, m, b)
 
     # Variances on the integer sums, scaled afterwards: integer-valued
     # floats sum exactly here, so a pinned corrected sum gives exactly 0.
     var_orig = float(np.var(y, ddof=1)) / (n * n)
-    var_corr = float(np.var(y_tilde, ddof=1)) / (n * n)
+    var_corr = float(np.var(corrected, ddof=1)) / (n * n)
     ratio = var_corr / var_orig if var_orig > 0 else math.nan
     return BoundReport(
         n=n, m=m, b=b, trials=trials,

@@ -3,9 +3,7 @@
 Post-decision form: a forward pass collects, per stage, the (counts,
 budget) pairs left by every feasible decision; the backward pass values
 each pair once, W(counts, budget), as the expectation over the next
-observation's arrivals. ``brute_force_value`` is the independent check:
-an unmemoised expectimax recursion over the same pairs, through every
-observation outcome and every feasible action.
+observation's arrivals.
 """
 
 from __future__ import annotations
@@ -29,7 +27,6 @@ from .mdp import (
 # (4, 15, 2) as the process's VmHWM growth over the solve, Python 3.11), so
 # 5M units at up to ~400 bytes each keeps a solve at the ceiling near 2 GB.
 DEFAULT_STATE_CEILING = 5_000_000
-DEFAULT_BRUTE_CEILING = 100_000_000
 
 
 class CeilingExceededError(RuntimeError):
@@ -140,32 +137,6 @@ def solve(
         ahead = behind
 
     return Policy(spec.k, spec.n, budgets, actions, values)
-
-
-def brute_force_value(
-    spec: MdpSpec, budget: int, ceiling: int = DEFAULT_BRUTE_CEILING
-) -> float:
-    """Optimal expected reward at ``budget`` by raw recursion over
-    post-decision pairs, for cross-checking ``solve``.
-
-    No memoisation on purpose: the recursion shares nothing with the
-    backward-induction code path beyond the transition rules themselves.
-    """
-    paths = (spec.k ** spec.n) * ((spec.k + 1) ** spec.n)
-    if paths > ceiling:
-        raise CeilingExceededError(
-            f"recursion size {paths} exceeds the ceiling {ceiling}"
-        )
-
-    def value(counts: tuple[int, ...], left: int) -> float:
-        if sum(counts) == spec.n:
-            return spec.reward.evaluate(CountVector(counts))
-        return sum(
-            p * max(value(*apply_action(s, a)) for a in feasible_actions(s, spec.k))
-            for s, p in arrivals(counts, left, spec)
-        )
-
-    return value((0,) * spec.k, budget)
 
 
 def policy_dump(policy: Policy) -> str:

@@ -191,29 +191,22 @@ def _normalise(data: dict[str, Any]) -> dict[str, Any]:
     return out
 
 
-@dataclass(frozen=True, kw_only=True)
-class ExperimentRecord:
-    """A correction row: binomial's columns in order; multinomial's lack
-    ``error_attainable``."""
-
-    experiment: str
-    seed: int
-    trial: int
-    budget: int
-    error_original: float
-    error_online: float
-    error_attainable: float | None = None
-    error_batch: float
-    budget_spent: int
-
-    def __post_init__(self) -> None:
-        if min(self.error_original, self.error_online, self.error_batch) < 0:
+def check_records(budget: int, original: Sequence[float], online: Sequence[float],
+                  batch: Sequence[float]) -> None:
+    """Raise ``InvariantViolationError`` for the first trial of a budget's
+    per-trial errors that is negative or has a batch error above its
+    online error."""
+    errors = np.array((original, online, batch), dtype=float)
+    negative = errors.min(axis=0) < 0
+    bad = np.flatnonzero(negative | (errors[2] > errors[1] + 1e-12))
+    if bad.size:
+        trial = int(bad[0])
+        if negative[trial]:
             raise InvariantViolationError("negative error in a record")
-        if self.error_batch > self.error_online + 1e-12:
-            raise InvariantViolationError(
-                f"batch error {self.error_batch} exceeds online error "
-                f"{self.error_online} (trial {self.trial}, budget {self.budget})"
-            )
+        raise InvariantViolationError(
+            f"batch error {batch[trial]} exceeds online error "
+            f"{online[trial]} (trial {trial}, budget {budget})"
+        )
 
 
 def _theta(config: ExperimentConfig) -> Categorical:
@@ -249,28 +242,23 @@ def _run_correction_records(config: ExperimentConfig, with_attainable: bool) -> 
         return l1_error(empirical_estimate(counts), theta0)
 
     error_original = per_distinct_counts(error, originals)
+    columns = ("experiment", "seed", "trial", "budget", "error_original", "error_online",
+               *(("error_attainable",) if with_attainable else ()), "error_batch",
+               "budget_spent")
     rows = []
     for budget, counts, spent in replays(streams, theta0, l1_terminal_reward(theta0),
                                          config.budgets):
         online = per_distinct_counts(error, counts)
-        batch = per_distinct_counts(lambda c: (
+        error_batch, attainable = zip(*per_distinct_counts(lambda c: (
             batch_correct(c, theta0, budget).error,
             attainable_error(n, theta0, budget, empirical_estimate(c))
             if with_attainable else None,
-        ), originals)
-        for trial, (error_batch, error_attainable) in enumerate(batch):
-            record = ExperimentRecord(
-                experiment=config.experiment,
-                seed=config.seed,
-                trial=trial,
-                budget=budget,
-                error_original=error_original[trial],
-                error_online=online[trial],
-                error_batch=error_batch,
-                budget_spent=int(spent[trial]),
-                error_attainable=error_attainable,
-            )
-            rows.append({k: v for k, v in vars(record).items() if v is not None})
+        ), originals))
+        check_records(budget, error_original, online, error_batch)
+        per_column = (error_original, online, *((attainable,) if with_attainable else ()),
+                      error_batch, spent.tolist())
+        rows.extend(dict(zip(columns, (config.experiment, config.seed, trial, budget, *values)))
+                    for trial, values in enumerate(zip(*per_column)))
     return rows
 
 

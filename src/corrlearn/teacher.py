@@ -1,5 +1,4 @@
-"""Running a teacher policy: replays over realised streams, and the exact
-expected error.
+"""Running a teacher policy over realised streams.
 
 A replay feeds the policy states built from CORRECTED counts: the student
 only ever sees what the teacher lets through, so the sufficient statistic
@@ -7,20 +6,14 @@ tracks the altered stream, with the current raw observation tallied on
 top. Streams are the rows of a (trials x n) int array; ``replays`` is the
 one path from a source model to corrected streams.
 
-``BinomialThresholdPolicy`` attains the optimal expected error (the tests
-check it to 1e-12 for n <= 30 and at n = 200) but not all the optimal
-actions: at value ties, exact or decided by float rounding, it can pick
-the other action, so the ``binomial`` experiment keeps the solver. No
-k >= 3 analogue is known: a quota rule that changes an over-quota value
-to the value furthest under its apportioned quota is up to 24% above the
-optimal expected error (k=3 with n <= 15 and k=4 with n <= 10, budgets 1
-and 2), so it is not in the package.
+``replay_all`` keeps no per-trial counts: each trial holds the index of
+its post-decision (counts, budget left) pair among that stage's distinct
+pairs, so every step's array work is a few 1-D passes over the trials and
+row work over the distinct pairs only.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Iterator, Protocol
 
 import numpy as np
@@ -33,9 +26,6 @@ from .mdp import (
     MdpSpec,
     TeacherState,
     TerminalReward,
-    apply_action,
-    arrivals,
-    l1_terminal_reward,
 )
 
 
@@ -76,28 +66,41 @@ def replay_all(
     counts (trials x k) and the budget each trial spent."""
     trials, n = streams.shape
     _check_policy(policy, k, n, budget)
+    if streams.size and not 0 <= streams.min() <= streams.max() < k:
+        raise ValueError(f"stream values must lie in [0, {k})")
     corrected = np.empty_like(streams)
-    counts = np.zeros((trials, k), dtype=np.int64)
-    remaining = np.full(trials, budget, dtype=np.int64)
-    every = np.arange(trials)
+    # distinct post-decision rows (counts..., remaining) and each trial's row
+    pairs = np.array([[0] * k + [budget]], dtype=np.int64)
+    pair = np.zeros(trials, dtype=np.int64)
     for t in range(n):
         observed = streams[:, t]
-        counts[every, observed] += 1
-        states, which = _distinct_rows(np.column_stack((counts, remaining, observed)))
+        # the distinct (pair, observation) keys, below len(pairs) * k <= trials * k
+        key = pair * k + observed
+        present = np.bincount(key, minlength=len(pairs) * k) > 0
+        keys = np.flatnonzero(present)
+        which = (np.cumsum(present) - 1)[key]
+        states = pairs[keys // k]
+        seen = keys % k
+        every = np.arange(len(keys))
+        states[every, seen] += 1
         targets = np.array([
             policy.action_for(TeacherState(tuple(arrived), left, y)).target
-            for *arrived, left, y in states.tolist()
+            for *arrived, left, y in np.column_stack((states, seen)).tolist()
         ], dtype=np.int64)
         outside = (targets < 0) | (targets >= k)
         if outside.any():
             raise ValueError(f"action target {targets[outside][0]} outside the alphabet")
-        if ((targets != states[:, k + 1]) & (states[:, k] < 1)).any():
+        changed = targets != seen
+        if (changed & (states[:, k] < 1)).any():
             raise BudgetExhaustedError("budget exhausted")
-        corrected[:, t] = target = targets[which]
-        counts[every, observed] -= 1
-        counts[every, target] += 1
-        remaining -= target != observed
-    return corrected, counts, budget - remaining
+        states[every, seen] -= 1
+        states[every, targets] += 1
+        states[:, k] -= changed
+        pairs, after = _distinct_rows(states)
+        corrected[:, t] = targets[which]
+        pair = after[which]
+    final = pairs[pair]
+    return corrected, final[:, :k], budget - final[:, k]
 
 
 def replays(
@@ -126,50 +129,3 @@ def per_distinct_counts(f: Callable[[CountVector], Any], counts: np.ndarray) -> 
     distinct, which = _distinct_rows(counts)
     values = [f(CountVector(row)) for row in distinct.tolist()]
     return [values[i] for i in which.tolist()]
-
-
-@dataclass(frozen=True)
-class BinomialThresholdPolicy:
-    """Closed-form two-outcome rule: keep while the running count of the
-    current value stays at or below round(theta0*n), otherwise flip it.
-
-    Rounding is half away from zero, pinned so threshold behaviour is
-    reproducible.
-    """
-
-    theta0: Categorical
-    n: int
-    k: int = 2
-
-    def action_for(self, state: TeacherState) -> Action:
-        if self.theta0.k != 2 or len(state.counts) != 2:
-            raise ValueError("closed-form policy is two-outcome only")
-        threshold = math.floor(self.theta0.probs[state.last_obs] * self.n + 0.5)
-        if state.budget <= 0 or state.counts[state.last_obs] <= threshold:
-            return Action(state.last_obs)
-        return Action(1 - state.last_obs)
-
-
-def expected_online_error(
-    policy: TeacherPolicy, model: Categorical, n: int, budget: int
-) -> float:
-    """Exact expected l1 error against ``model`` of replaying ``policy`` on
-    n draws from ``model``, by forward evaluation: the probability mass of
-    each post-decision (counts, budget) pair is pushed through the next
-    draw and the policy's decision, so the cost grows with the reachable
-    pairs, not with the k^n streams.
-    """
-    _check_policy(policy, model.k, n, budget)
-    spec = MdpSpec(n=n, model=model, reward=l1_terminal_reward(model))
-    mass = {((0,) * model.k, budget): 1.0}
-    for _ in range(n):
-        ahead: dict[tuple[tuple[int, ...], int], float] = {}
-        for (counts, left), weight in mass.items():
-            for state, p in arrivals(counts, left, spec):
-                pair = apply_action(state, policy.action_for(state))
-                ahead[pair] = ahead.get(pair, 0.0) + weight * p
-        mass = ahead
-    return -math.fsum(
-        weight * spec.reward.evaluate(CountVector(counts))
-        for (counts, _), weight in mass.items()
-    )

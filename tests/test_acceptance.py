@@ -21,7 +21,7 @@ from corrlearn import cli
 from corrlearn.batch import attainable_error, e_min
 from corrlearn.bounds import monte_carlo_report
 from corrlearn.core import Categorical, CountVector, empirical_estimate, l1_error, spawn
-from corrlearn.dp import brute_force_value, root_value, solve
+from corrlearn.dp import root_value, solve
 from corrlearn.experiments import (
     ExperimentConfig,
     run_bio,
@@ -29,7 +29,8 @@ from corrlearn.experiments import (
     run_variance_sweep,
 )
 from corrlearn.mdp import MdpSpec, l1_terminal_reward
-from corrlearn.teacher import BinomialThresholdPolicy, expected_online_error, replay_all
+from corrlearn.teacher import replay_all
+from oracles import BinomialThresholdPolicy, brute_force_value, expected_online_error
 
 ACCEPT_SEED = 20260811
 

@@ -17,12 +17,13 @@ from corrlearn.bounds import (
     _check_grid,
     check_point,
     monte_carlo_report,
-    project_sum,
+    project_sums,
     var_bound_abs,
     var_bound_ratio_paper,
 )
 from corrlearn.core import spawn
 from corrlearn.dp import CeilingExceededError
+from oracles import project_sum
 
 
 def brute_project(y, target, budget, upper=None):
@@ -196,6 +197,27 @@ class TestMonteCarloReport:
         finally:
             tracemalloc.stop()
         assert peak < 64 * trials
+
+
+class TestDrawStreamAndProjection:
+    """The two shortcuts of the kernel: 32-bit draws and the clipped move."""
+
+    @pytest.mark.parametrize("m", [1, 2, 4, 2**31, 2**32 - 1])
+    def test_uint32_draws_equal_the_int64_stream(self, m):
+        # 2**31 rejects about half of its 32-bit words; the odd splits cut
+        # the stream between calls at varying offsets
+        narrow, wide = np.random.default_rng(5), np.random.default_rng(5)
+        for size in [(3, 7), (1, 1), (5, 3), (8192, 2), (1, 5), (2, 1), (13, 11)]:
+            drawn = narrow.integers(0, m + 1, size=size, dtype=np.uint32)
+            assert np.array_equal(drawn, wide.integers(0, m + 1, size=size))
+        assert narrow.integers(0, 2**40) == wide.integers(0, 2**40)
+
+    @pytest.mark.parametrize("n,m", [(1, 1), (2, 1), (3, 1), (5, 2), (4, 3), (7, 4), (3, 9)])
+    def test_moves_equal_the_scalar_projection_at_every_sum(self, n, m):
+        y = np.arange(n * m + 1, dtype=np.int64)
+        for b in sorted({0, 1, 2, (n * m) // 2, (n * m + 1) // 2, n * m}):
+            expected = [project_sum(v, n * m / 2, b, upper=n * m) for v in y.tolist()]
+            assert project_sums(y, n, m, b).tolist() == expected
 
 
 def one_shot_report(n, m, b, trials, seed):

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from corrlearn.core import Categorical, CountVector
 from corrlearn.dp import (
     CeilingExceededError,
-    brute_force_value,
     policy_dump,
     root_value,
     solve,
@@ -25,6 +24,7 @@ from corrlearn.mdp import (
     l1_terminal_reward,
 )
 from corrlearn.likelihood import bio_terminal_reward, default_candidates
+from oracles import brute_force_value
 from test_mdp import reachable_states
 
 

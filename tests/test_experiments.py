@@ -8,15 +8,15 @@ import numpy as np
 import pytest
 
 from corrlearn import bounds, cli, dp, experiments, teacher
-from corrlearn.batch import e_min
-from corrlearn.core import Categorical, sample_sequence, spawn
+from corrlearn.batch import BatchResult, e_min
+from corrlearn.core import Categorical, CountVector, sample_sequence, spawn
 from corrlearn.dp import DEFAULT_STATE_CEILING, Policy
 from corrlearn.experiments import (
     EXPERIMENTS,
     ConfigError,
     ExperimentConfig,
-    ExperimentRecord,
     InvariantViolationError,
+    check_records,
     format_csv,
     run_and_format,
     run_binomial,
@@ -95,20 +95,27 @@ class TestConfig:
 
 class TestRecordInvariants:
     def test_batch_above_online_rejected(self):
-        with pytest.raises(InvariantViolationError, match="batch error"):
-            ExperimentRecord(
-                experiment="multinomial", seed=1, trial=0, budget=1,
-                error_original=0.4, error_online=0.2, error_batch=0.3,
-                budget_spent=1,
-            )
+        message = r"batch error 0.3 exceeds online error 0.2 \(trial 1, budget 1\)"
+        with pytest.raises(InvariantViolationError, match=message):
+            check_records(1, [0.4, 0.4], [0.3, 0.2], [0.3, 0.3])
 
     def test_negative_error_rejected(self):
-        with pytest.raises(InvariantViolationError):
-            ExperimentRecord(
-                experiment="multinomial", seed=1, trial=0, budget=1,
-                error_original=-0.1, error_online=0.2, error_batch=0.2,
-                budget_spent=1,
-            )
+        with pytest.raises(InvariantViolationError, match="negative error in a record"):
+            check_records(1, [0.4, -0.1], [0.3, 0.2], [0.3, 0.2])
+
+    def test_first_bad_trial_decides_the_message(self):
+        with pytest.raises(InvariantViolationError, match=r"\(trial 0, budget 3\)"):
+            check_records(3, [0.4, -0.1], [0.2, 0.2], [0.3, 0.2])
+
+    def test_multinomial_with_batch_above_online_exits_4(self, monkeypatch, capsys):
+        worse = BatchResult(CountVector((5, 0, 0)), 9.0)
+        monkeypatch.setattr(experiments, "batch_correct", lambda counts, theta0, budget: worse)
+        argv = ["multinomial", "--seed", "1", "--trials", "3", "--budgets", "2,1"]
+        assert cli.main(argv) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("internal error: InvariantViolationError: batch error 9.0")
+        assert captured.err.endswith("(trial 0, budget 2)\n")
 
 
 class TestMultinomialRunner:

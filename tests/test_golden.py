@@ -45,6 +45,11 @@ EXPERIMENTS = {
         "bounds", "--seed", "7", "--trials", "20000", "--n-values", "5,25",
         "--m-values", "1,4", "--budgets", "0,3",
     ],
+    # m either side of 2**32 takes both the 32-bit and the 64-bit draws
+    "bounds_huge_m": [
+        "bounds", "--seed", "1", "--trials", "1000", "--n-values", "2,3",
+        "--m-values", "4294967295,4294967296", "--budgets", "0,1",
+    ],
     "bio_small": [
         "bio", "--seed", "7", "--n-values", "4,6", "--budgets", "0,1,2",
         "--trials", "20",

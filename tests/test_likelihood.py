@@ -5,7 +5,7 @@ import math
 import pytest
 
 from corrlearn.core import Categorical, CountVector
-from corrlearn.dp import brute_force_value, root_value, solve
+from corrlearn.dp import root_value, solve
 from corrlearn.likelihood import (
     CANDIDATE_FILE_VERSION,
     CandidateModel,
@@ -17,6 +17,7 @@ from corrlearn.likelihood import (
     negative_log_likelihood,
 )
 from corrlearn.mdp import MdpSpec
+from oracles import brute_force_value
 
 
 @pytest.fixture(scope="module")

@@ -27,11 +27,10 @@ from corrlearn.mdp import (
     l1_terminal_reward,
 )
 from corrlearn.teacher import (
-    BinomialThresholdPolicy,
-    expected_online_error,
     replay_all,
     replays,
 )
+from oracles import BinomialThresholdPolicy, expected_online_error
 
 
 def spec_for(theta, n):
@@ -323,6 +322,22 @@ class AlwaysFlip:
         return Action(1 - state.last_obs)
 
 
+class TowardFewest:
+    """Hand-written k-value policy: while budget is left, change a value
+    that leads the counts to the first value with the fewest."""
+
+    def action_for(self, state):
+        fewest = state.counts.index(min(state.counts))
+        if state.budget and state.counts[state.last_obs] == max(state.counts):
+            return Action(fewest)
+        return Action(state.last_obs)
+
+
+class OneToTwo:
+    def action_for(self, state):
+        return Action(2 if state.budget and state.last_obs == 1 else state.last_obs)
+
+
 class TestReplayAll:
     @pytest.mark.parametrize("budget", [0, 1, 3])
     def test_matches_stream_by_stream_replay(self, budget):
@@ -332,6 +347,39 @@ class TestReplayAll:
             corrected, counts, spent = replay_all(streams, 2, policy, budget)
             for values, row, final, used in zip(streams.tolist(), corrected, counts, spent):
                 assert (tuple(row), tuple(final), used) == stream_replay(values, 2, policy, budget)
+
+    @pytest.mark.parametrize("budget", [0, 1, 2, 4])
+    def test_matches_stream_by_stream_replay_at_three_values(self, budget):
+        theta = Categorical((0.4, 0.35, 0.25))
+        streams = all_streams(3, 6)
+        solved, _ = solved_policy(theta, 6, budget)
+        for policy in (solved, TowardFewest()):
+            corrected, counts, spent = replay_all(streams, 3, policy, budget)
+            for values, row, final, used in zip(streams.tolist(), corrected, counts, spent):
+                assert (tuple(row), tuple(final), used) == stream_replay(values, 3, policy, budget)
+
+    def test_distinct_states_reaching_one_pair_share_the_next_query(self):
+        asked = []
+
+        class Recording(OneToTwo):
+            def action_for(self, state):
+                asked.append(state)
+                return super().action_for(state)
+
+        # (0, 1) keeps 0 then changes 1->2; (1, 0) changes 1->2 then keeps 0:
+        # two stage-2 states, one pair ((1, 0, 1), 0) after them
+        streams = np.array([(0, 1, 2), (1, 0, 2)])
+        corrected, counts, spent = replay_all(streams, 3, Recording(), 1)
+        assert corrected.tolist() == [[0, 2, 2], [2, 0, 2]]
+        assert counts.tolist() == [[1, 0, 2]] * 2 and spent.tolist() == [1, 1]
+        assert sorted((s for s in asked if s.stage == 2), key=lambda s: s.counts) == [
+            TeacherState((1, 0, 1), 0, 0), TeacherState((1, 1, 0), 1, 1)]
+        assert [s for s in asked if s.stage == 3] == [TeacherState((1, 0, 2), 0, 2)]
+
+    @pytest.mark.parametrize("value", [-1, 3])
+    def test_stream_value_outside_the_alphabet_raises(self, value):
+        with pytest.raises(ValueError, match=r"stream values must lie in \[0, 3\)"):
+            replay_all(np.array([(0, 1, 2), (1, value, 0)]), 3, OneToTwo(), 1)
 
     def test_overspending_policy_raises_inside_a_batch(self):
         with pytest.raises(BudgetExhaustedError):
