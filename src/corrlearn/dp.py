@@ -54,6 +54,18 @@ class Policy:
             ) from None
 
 
+def check_state_bound(k: int, n: int, budget: int, ceiling: int = DEFAULT_STATE_CEILING) -> int:
+    """``state_count_bound(k, n, budget)``, the size of a solve up to
+    ``budget``; ``CeilingExceededError`` if it is above ``ceiling``."""
+    bound = state_count_bound(k, n, budget)
+    if bound > ceiling:
+        raise CeilingExceededError(
+            f"state bound {bound} exceeds the ceiling {ceiling} "
+            f"for k={k}, n={n}, budget={budget}"
+        )
+    return bound
+
+
 def root_value(policy: Policy, spec: MdpSpec, budget: int) -> float:
     """Optimal expected reward before the first observation, at ``budget``."""
     total = 0.0  # added in outcome order, as in ``solve``
@@ -85,12 +97,7 @@ def solve(
         raise ValueError("no start budgets to solve for")
     if budgets[0] < 0:
         raise ValueError("budget must be nonnegative")
-    bound = state_count_bound(spec.k, spec.n, budgets[-1])
-    if bound > ceiling:
-        raise CeilingExceededError(
-            f"state bound {bound} exceeds the ceiling {ceiling} "
-            f"for k={spec.k}, n={spec.n}, budget={budgets[-1]}"
-        )
+    check_state_bound(spec.k, spec.n, budgets[-1], ceiling)
 
     # pairs[t]: post-decision (counts, budget) after the decision at stage t
     pairs: list[set[tuple[tuple[int, ...], int]]] = [{((0,) * spec.k, b) for b in budgets}]

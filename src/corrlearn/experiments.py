@@ -6,12 +6,22 @@ order, so ``run_and_format`` serialises any experiment the same way.
 Trial streams derive from (seed, structural indices) only, so repeat runs
 emit byte-identical output. CSV uses a fixed header, 12-significant-digit
 reals and LF line endings; JSON output carries the same rows as objects.
+
+``variance`` and ``bio`` solve and replay each n on its own, so their n
+keys run in forked processes, one share per usable CPU, split
+longest-first by state bound; output is identical to a serial run, and
+there is no flag. They fork only while all the n keys at once stay within
+the state ceiling and ``MAX_DRAWS`` (so within about 2 GB), and run
+serially otherwise. Every n's solve is checked against the state ceiling
+before the first draw.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
+import pickle
 from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Any, Callable, NamedTuple, Sequence
@@ -23,7 +33,7 @@ from .bounds import check_point, monte_carlo_report
 from .core import (
     Categorical, ConfigError, CountVector, empirical_estimate, l1_error, sample_sequence, spawn,
 )
-from .dp import CeilingExceededError
+from .dp import DEFAULT_STATE_CEILING, CeilingExceededError, check_state_bound
 from .likelihood import CandidateSet, default_candidates, misclassification_experiment
 from .mdp import l1_terminal_reward
 from .teacher import per_distinct_counts, replays
@@ -216,9 +226,13 @@ def _theta(config: ExperimentConfig) -> Categorical:
         raise ConfigError(f"invalid theta0: {exc}") from exc
 
 
+def _draw_units(config: ExperimentConfig, n: int, rows_per_trial: int = 0) -> int:
+    return config.trials * (n + 8 * (1 + rows_per_trial))
+
+
 def _check_draws(config: ExperimentConfig, rows_per_trial: int = 0) -> None:
     """Raise ``CeilingExceededError`` if the run's draw units pass ``MAX_DRAWS``."""
-    units = config.trials * (max(config.n_values) + 8 * (1 + rows_per_trial))
+    units = _draw_units(config, max(config.n_values), rows_per_trial)
     if units > MAX_DRAWS:
         raise CeilingExceededError(
             f"{config.trials} trials at n up to {max(config.n_values)} take {units} "
@@ -235,6 +249,7 @@ def _run_correction_records(config: ExperimentConfig, with_attainable: bool) -> 
         )
     (n,) = config.n_values
     _check_draws(config, rows_per_trial=len(config.budgets))
+    check_state_bound(theta0.k, n, max(config.budgets))
     streams = sample_sequence(theta0, n, spawn(config.seed, [(t,) for t in range(config.trials)]))
     originals = (streams[:, :, None] == np.arange(theta0.k)).sum(axis=1)
 
@@ -286,10 +301,11 @@ def run_variance_sweep(config: ExperimentConfig) -> list[Row]:
     theta0 = _theta(config)
     _check_draws(config)
     reward = l1_terminal_reward(theta0)
-    rows = []
-    for n in config.n_values:
+
+    def cells(n: int) -> list[Row]:
         seeds = spawn(config.seed, [(n, t) for t in range(config.trials)])
         streams = sample_sequence(theta0, n, seeds)
+        rows = []
         for budget, counts, _ in replays(streams, theta0, reward, config.budgets):
             estimates = np.array(
                 per_distinct_counts(lambda c: empirical_estimate(c).probs, counts))
@@ -299,7 +315,9 @@ def run_variance_sweep(config: ExperimentConfig) -> list[Row]:
                 "var_first": float(per_coord[0]),
                 "var_total": float(per_coord.sum()),
             })
-    return rows
+        return rows
+
+    return [row for rows in _per_n(config, theta0.k, cells) for row in rows]
 
 
 def run_bounds(config: ExperimentConfig) -> list[Row]:
@@ -328,18 +346,136 @@ def run_bio(config: ExperimentConfig) -> list[Row]:
     if label not in candidates.labels():
         raise ConfigError(f"theta0_label {label} not among {candidates.labels()}")
     _check_draws(config)
-    seeds = spawn(config.seed, [(n,) for n in config.n_values]).tolist()
-    rows = []
-    for n, seed in zip(config.n_values, seeds):
-        rates = misclassification_experiment(
+
+    def rates(n: int) -> dict[int, float]:
+        (seed,) = spawn(config.seed, [(n,)]).tolist()
+        return misclassification_experiment(
             label, candidates, n, config.budgets, config.trials, seed
         )
+
+    k = candidates.by_label(label).action_dist.k
+    rows = []
+    for n, per_budget in zip(config.n_values, _per_n(config, k, rates)):
         for budget in config.budgets:
             rows.append({
                 "n": n, "budget": budget, "trials": config.trials,
-                "misclassification_rate": rates[budget],
+                "misclassification_rate": per_budget[budget],
             })
     return rows
+
+
+def _per_n(config: ExperimentConfig, k: int, job: Callable[[int], Any]) -> list:
+    """``[job(n) for n in config.n_values]``, each n a solve over k outcomes
+    up to the largest budget plus its draws. Every n's state bound is
+    checked first; the n keys then fan out over the usable CPUs while all
+    of them at once stay within the state and draw ceilings."""
+    costs = [check_state_bound(k, n, max(config.budgets)) for n in config.n_values]
+    units = sum(_draw_units(config, n) for n in config.n_values)
+    fits = sum(costs) <= DEFAULT_STATE_CEILING and units <= MAX_DRAWS
+    return _fan_out(job, config.n_values, costs,
+                    len(os.sched_getaffinity(0)) if fits else 1)
+
+
+Failure = tuple[int, BaseException]  # (item index, what it raised)
+
+
+def _fan_out(f: Callable[[Any], Any], items: Sequence[Any], costs: Sequence[int],
+             shares: int) -> list:
+    """``[f(x) for x in items]`` for independent items, split longest-first
+    by ``costs`` over ``shares`` processes (Graham's LPT rule). This
+    process runs the first share, and a forked worker runs each other one
+    and pickles its results back through a pipe. Every share runs its items
+    in item order, and the failure of the lowest item is raised, so a fault
+    surfaces as it would from a serial loop. Every worker is reaped before
+    this returns or raises."""
+    if shares < 2 or len(items) < 2:
+        return [f(x) for x in items]
+    parts: list[list[int]] = [[] for _ in range(shares)]
+    loads = [0] * shares
+    for i in sorted(range(len(items)), key=lambda i: -costs[i]):
+        least = loads.index(min(loads))
+        parts[least].append(i)
+        loads[least] += costs[i]
+    own, *others = map(sorted, parts)
+    workers: list[tuple[int, int, list[int]]] = []  # (pid, read end, share)
+    outcomes: list[tuple[list, Failure | None]] = []
+    try:
+        for part in filter(None, others):
+            try:
+                workers.append((*_fork_share(f, items, part), part))
+            except OSError:  # no process to spare: run the share here
+                own = sorted(own + part)
+        outcomes.append(_run_share(f, items, own))
+    finally:
+        for pid, fd, part in workers:
+            outcomes.append(_collect(pid, fd, part))
+    failures = [failure for _, failure in outcomes if failure is not None]
+    if failures:
+        raise min(failures, key=lambda failure: failure[0])[1]
+    results: list = [None] * len(items)
+    for (done, _), part in zip(outcomes, [own, *(w[2] for w in workers)]):
+        for i, result in zip(part, done):
+            results[i] = result
+    return results
+
+
+def _run_share(f: Callable[[Any], Any], items: Sequence[Any],
+               part: list[int]) -> tuple[list, Failure | None]:
+    """f of the items at the sorted indices ``part``, up to the first failure."""
+    done = []
+    for i in part:
+        try:
+            done.append(f(items[i]))
+        except Exception as exc:
+            return done, (i, exc)
+    return done, None
+
+
+def _fork_share(f: Callable[[Any], Any], items: Sequence[Any],
+                part: list[int]) -> tuple[int, int]:
+    """Fork a worker that runs ``part``; returns its pid and the read end of
+    the pipe that carries its pickled outcome."""
+    read, write = os.pipe()
+    try:
+        pid = os.fork()
+    except BaseException:
+        os.close(read)
+        os.close(write)
+        raise
+    if pid:
+        os.close(write)
+        return pid, read
+    # The worker never returns into the caller's stack and never flushes
+    # the stdio buffers it inherited: every path ends in ``os._exit``.
+    code = 1
+    try:
+        os.close(read)
+        outcome = _run_share(f, items, part)
+        try:
+            data = pickle.dumps(outcome)
+        except Exception as exc:  # a result or failure that does not pickle
+            data = pickle.dumps(([], (part[0], exc)))
+        view = memoryview(data)
+        while view:
+            view = view[os.write(write, view):]
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _collect(pid: int, fd: int, part: list[int]) -> tuple[list, Failure | None]:
+    """Read a worker's outcome to the end of its pipe, then reap it."""
+    try:
+        with open(fd, "rb") as pipe:
+            data = pipe.read()
+    finally:
+        _, status = os.waitpid(pid, 0)
+    try:
+        return pickle.loads(data)
+    except Exception:
+        return [], (part[0], RuntimeError(
+            f"a worker (exit status {os.waitstatus_to_exitcode(status)}) "
+            "sent no readable results"))
 
 
 def _format_value(value: Any) -> str:
