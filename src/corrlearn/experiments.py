@@ -12,7 +12,8 @@ keys run in forked processes, one share per usable CPU, split
 longest-first by state bound; output is identical to a serial run, and
 there is no flag. They fork only while all the n keys at once stay within
 the state ceiling and ``MAX_DRAWS`` (so within about 2 GB), and run
-serially otherwise. Every n's solve is checked against the state ceiling
+serially otherwise, where ``os.sched_getaffinity`` is missing (macOS,
+Windows) and while another Python thread runs. Every n's solve is checked against the state ceiling
 before the first draw.
 """
 
@@ -22,6 +23,7 @@ import argparse
 import json
 import os
 import pickle
+import threading
 from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Any, Callable, NamedTuple, Sequence
@@ -368,12 +370,17 @@ def _per_n(config: ExperimentConfig, k: int, job: Callable[[int], Any]) -> list:
     """``[job(n) for n in config.n_values]``, each n a solve over k outcomes
     up to the largest budget plus its draws. Every n's state bound is
     checked first; the n keys then fan out over the usable CPUs while all
-    of them at once stay within the state and draw ceilings."""
+    of them at once stay within the state and draw ceilings. They run
+    serially where ``os.sched_getaffinity`` is missing (macOS lacks it,
+    Windows lacks it and ``os.fork``) and while another Python thread
+    runs, since a forked worker could inherit a lock that thread
+    holds."""
     costs = [check_state_bound(k, n, max(config.budgets)) for n in config.n_values]
     units = sum(_draw_units(config, n) for n in config.n_values)
-    fits = sum(costs) <= DEFAULT_STATE_CEILING and units <= MAX_DRAWS
+    fork = (sum(costs) <= DEFAULT_STATE_CEILING and units <= MAX_DRAWS
+            and hasattr(os, "sched_getaffinity") and threading.active_count() == 1)
     return _fan_out(job, config.n_values, costs,
-                    len(os.sched_getaffinity(0)) if fits else 1)
+                    len(os.sched_getaffinity(0)) if fork else 1)
 
 
 Failure = tuple[int, BaseException]  # (item index, what it raised)
@@ -450,12 +457,7 @@ def _fork_share(f: Callable[[Any], Any], items: Sequence[Any],
     code = 1
     try:
         os.close(read)
-        outcome = _run_share(f, items, part)
-        try:
-            data = pickle.dumps(outcome)
-        except Exception as exc:  # a result or failure that does not pickle
-            data = pickle.dumps(([], (part[0], exc)))
-        view = memoryview(data)
+        view = memoryview(pickle.dumps(_run_share(f, items, part)))
         while view:
             view = view[os.write(write, view):]
         code = 0
