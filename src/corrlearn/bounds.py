@@ -25,7 +25,10 @@ moves each sum to the point of [Y-B, Y+B] nearest the target, ties to the
 smaller value. ``check_point`` rejects a grid point or trial count as bad
 input (``ConfigError``, exit 2), and more than ``MAX_TRIALS`` trials or
 ``MAX_TRIALS * 25`` draws with ``CeilingExceededError`` (exit 3), before
-any draw.
+any draw. The ``bounds`` experiment checks every point first, then runs
+the points in forked processes, one share per usable CPU, while the whole
+grid's trials stay within ``MAX_TRIALS``; each point's numbers depend only
+on its own seed.
 """
 
 from __future__ import annotations

@@ -7,14 +7,17 @@ Trial streams derive from (seed, structural indices) only, so repeat runs
 emit byte-identical output. CSV uses a fixed header, 12-significant-digit
 reals and LF line endings; JSON output carries the same rows as objects.
 
-``variance`` and ``bio`` solve and replay each n on its own, so their n
-keys run in forked processes, one share per usable CPU, split
-longest-first by state bound; output is identical to a serial run, and
-there is no flag. They fork only while all the n keys at once stay within
-the state ceiling and ``MAX_DRAWS`` (so within about 2 GB), and run
-serially otherwise, where ``os.sched_getaffinity`` is missing (macOS,
-Windows) and while another Python thread runs. Every n's solve is checked against the state ceiling
-before the first draw.
+Independent jobs run in forked processes, one share per usable CPU,
+split longest-first by cost: the n keys of ``variance`` and ``bio``, each
+solved and replayed on its own (cost: its state bound), and the grid
+points of ``bounds`` (cost: n, as a point draws trials * n values). Output
+is identical to a serial run, and there is no flag. They fork only while
+all the jobs at once stay within the ceilings one job may use (the state
+ceiling and ``MAX_DRAWS`` for n keys, ``bounds.MAX_TRIALS`` trials for grid
+points, so within about 2 GB), and run serially otherwise, where
+``os.sched_getaffinity`` is missing (macOS, Windows) and while another
+Python thread runs. Every n's solve and every grid point is checked
+against its ceilings before the first draw.
 """
 
 from __future__ import annotations
@@ -31,14 +34,14 @@ from typing import Any, Callable, NamedTuple, Sequence
 import numpy as np
 
 from .batch import attainable_error, batch_correct
-from .bounds import check_point, monte_carlo_report
+from .bounds import MAX_TRIALS, check_point, monte_carlo_report
 from .core import (
     Categorical, ConfigError, CountVector, empirical_estimate, l1_error, sample_sequence, spawn,
 )
 from .dp import DEFAULT_STATE_CEILING, CeilingExceededError, check_state_bound
 from .likelihood import CandidateSet, default_candidates, misclassification_experiment
 from .mdp import l1_terminal_reward
-from .teacher import per_distinct_counts, replays
+from .teacher import distinct_rows, per_distinct_counts, replays
 
 Row = dict[str, Any]  # one output row: column name -> value, in column order
 
@@ -253,7 +256,7 @@ def _run_correction_records(config: ExperimentConfig, with_attainable: bool) -> 
     _check_draws(config, rows_per_trial=len(config.budgets))
     check_state_bound(theta0.k, n, max(config.budgets))
     streams = sample_sequence(theta0, n, spawn(config.seed, [(t,) for t in range(config.trials)]))
-    originals = (streams[:, :, None] == np.arange(theta0.k)).sum(axis=1)
+    originals = distinct_rows((streams[:, :, None] == np.arange(theta0.k)).sum(axis=1))
 
     def error(counts: CountVector) -> float:
         return l1_error(empirical_estimate(counts), theta0)
@@ -328,8 +331,12 @@ def run_bounds(config: ExperimentConfig) -> list[Row]:
             for n in config.n_values for m in config.m_values for budget in config.budgets]
     for point in grid:  # every point is checked before the first draw
         check_point(*point, config.trials)
-    reports = [monte_carlo_report(*point, config.trials, seed)
-               for point, seed in zip(grid, spawn(config.seed, grid).tolist())]
+    # a point draws trials * n values; the points fork only while all of
+    # them at once stay within the trials one point may take
+    reports = _fan_out(lambda job: monte_carlo_report(*job[0], config.trials, job[1]),
+                       list(zip(grid, spawn(config.seed, grid).tolist())),
+                       [n for n, _, _ in grid],
+                       _shares(len(grid) * config.trials <= MAX_TRIALS))
     return [{
         "N": r.n, "M": r.m, "B": r.b, "trials": r.trials,
         "bound_abs": r.bound_abs, "bound_ratio_paper": r.bound_ratio_paper,
@@ -369,18 +376,23 @@ def run_bio(config: ExperimentConfig) -> list[Row]:
 def _per_n(config: ExperimentConfig, k: int, job: Callable[[int], Any]) -> list:
     """``[job(n) for n in config.n_values]``, each n a solve over k outcomes
     up to the largest budget plus its draws. Every n's state bound is
-    checked first; the n keys then fan out over the usable CPUs while all
-    of them at once stay within the state and draw ceilings. They run
-    serially where ``os.sched_getaffinity`` is missing (macOS lacks it,
-    Windows lacks it and ``os.fork``) and while another Python thread
-    runs, since a forked worker could inherit a lock that thread
-    holds."""
+    checked first; the n keys then fan out while all of them at once stay
+    within the state and draw ceilings."""
     costs = [check_state_bound(k, n, max(config.budgets)) for n in config.n_values]
     units = sum(_draw_units(config, n) for n in config.n_values)
-    fork = (sum(costs) <= DEFAULT_STATE_CEILING and units <= MAX_DRAWS
-            and hasattr(os, "sched_getaffinity") and threading.active_count() == 1)
     return _fan_out(job, config.n_values, costs,
-                    len(os.sched_getaffinity(0)) if fork else 1)
+                    _shares(sum(costs) <= DEFAULT_STATE_CEILING and units <= MAX_DRAWS))
+
+
+def _shares(fits: bool) -> int:
+    """How many processes a fan-out may use: one per usable CPU if all its
+    items at once ``fits`` the caller's ceilings, else one. It is one where
+    ``os.sched_getaffinity`` is missing (macOS lacks it, Windows lacks it
+    and ``os.fork``) and while another Python thread runs, since a forked
+    worker could inherit a lock that thread holds."""
+    if fits and hasattr(os, "sched_getaffinity") and threading.active_count() == 1:
+        return len(os.sched_getaffinity(0))
+    return 1
 
 
 Failure = tuple[int, BaseException]  # (item index, what it raised)
@@ -480,13 +492,16 @@ def _collect(pid: int, fd: int, part: list[int]) -> tuple[list, Failure | None]:
             "sent no readable results"))
 
 
-def _format_value(value: Any) -> str:
-    return format(value, ".12g") if isinstance(value, float) else str(value)
-
-
 def format_csv(columns: Sequence[str], rows: Sequence[Sequence[Any]]) -> str:
+    """Floats as ``%.12g`` (the bytes of ``format(v, ".12g")``), the rest as
+    ``str``, by one template per row shape (its cells' types)."""
+    templates: dict[tuple[type, ...], str] = {}
     lines = [",".join(columns)]
-    lines.extend(",".join(_format_value(v) for v in row) for row in rows)
+    for row in rows:
+        shape = tuple(map(type, row))
+        if shape not in templates:
+            templates[shape] = ",".join("%.12g" if issubclass(t, float) else "%s" for t in shape)
+        lines.append(templates[shape] % tuple(row))
     return "\n".join(lines) + "\n"
 
 

@@ -6,10 +6,12 @@ tracks the altered stream, with the current raw observation tallied on
 top. Streams are the rows of a (trials x n) int array; ``replays`` is the
 one path from a source model to corrected streams.
 
-``replay_all`` keeps no per-trial counts: each trial holds the index of
-its post-decision (counts, budget left) pair among that stage's distinct
+A replay keeps no per-trial counts: each trial holds the index of its
+post-decision (counts, budget left) pair among that stage's distinct
 pairs, so every step's array work is a few 1-D passes over the trials and
-row work over the distinct pairs only.
+row work over the distinct pairs only. ``replays`` hands over the final
+counts the same way, as ``distinct_rows`` gives them, so no caller sorts
+the trials.
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ def _check_policy(policy: TeacherPolicy, k: int, n: int, budget: int) -> None:
         )
 
 
-def _distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The distinct rows of a 2-D int array, in sorted order, and the
     position of each row among them."""
     order = np.lexsort(rows.T[::-1])
@@ -64,6 +66,16 @@ def replay_all(
     among them and applying its decisions to every trial at once, with
     ``apply_action``'s checks. Returns the corrected streams, the final
     counts (trials x k) and the budget each trial spent."""
+    corrected, (pairs, pair) = _replay(streams, k, policy, budget)
+    final = pairs[pair]
+    return corrected, final[:, :k], budget - final[:, k]
+
+
+def _replay(
+    streams: np.ndarray, k: int, policy: TeacherPolicy, budget: int
+) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
+    """``replay_all``'s corrected streams, and the final (counts..., budget
+    left) rows as ``distinct_rows`` gives them."""
     trials, n = streams.shape
     _check_policy(policy, k, n, budget)
     if streams.size and not 0 <= streams.min() <= streams.max() < k:
@@ -96,11 +108,10 @@ def replay_all(
         states[every, seen] -= 1
         states[every, targets] += 1
         states[:, k] -= changed
-        pairs, after = _distinct_rows(states)
+        pairs, after = distinct_rows(states)
         corrected[:, t] = targets[which]
         pair = after[which]
-    final = pairs[pair]
-    return corrected, final[:, :k], budget - final[:, k]
+    return corrected, (pairs, pair)
 
 
 def replays(
@@ -108,24 +119,29 @@ def replays(
     model: Categorical,
     reward: TerminalReward,
     budgets: Iterable[int],
-) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+) -> Iterator[tuple[int, tuple[np.ndarray, np.ndarray], np.ndarray]]:
     """Yield ``(budget, counts, budget_spent)`` per budget, in the order
     given, for the rows of ``streams`` (trials x n): the final corrected
-    counts (trials x k) and the budget spent per trial. One solve, started
-    from every budget, serves them all.
+    counts (trials x k) as ``distinct_rows`` gives them, and the budget
+    spent per trial. One solve, started from every budget, serves them all.
     """
     if len(streams) == 0:
         raise ValueError("no streams to replay")
     budgets = tuple(budgets)
     policy = solve(MdpSpec(n=streams.shape[1], model=model, reward=reward), budgets)
+    k = model.k
     for budget in budgets:
-        _, counts, spent = replay_all(streams, model.k, policy, budget)
-        yield budget, counts, spent
+        _, (pairs, pair) = _replay(streams, k, policy, budget)
+        # final pairs that differ only in budget left share their counts
+        counts, which = distinct_rows(pairs[:, :k])
+        yield budget, (counts, which[pair]), budget - pairs[pair, k]
 
 
-def per_distinct_counts(f: Callable[[CountVector], Any], counts: np.ndarray) -> list:
-    """``f`` of each row of a (trials x k) count array, such as a replay's
-    final counts, in trial order, evaluated once per distinct row."""
-    distinct, which = _distinct_rows(counts)
-    values = [f(CountVector(row)) for row in distinct.tolist()]
+def per_distinct_counts(f: Callable[[CountVector], Any],
+                        counts: tuple[np.ndarray, np.ndarray]) -> list:
+    """``f`` of each trial's count row, in trial order, evaluated once per
+    distinct row; ``counts`` is a (trials x k) count array as
+    ``distinct_rows`` gives it, such as a replay's final counts."""
+    rows, which = counts
+    values = [f(CountVector(row)) for row in rows.tolist()]
     return [values[i] for i in which.tolist()]

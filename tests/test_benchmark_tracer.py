@@ -12,13 +12,16 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 # Spans the tracer lists whose function the package deleted on purpose:
-# streams are replayed by ``teacher.replay_all``, which it does not wrap yet.
+# streams are replayed by ``teacher._replay``, which it does not wrap yet.
 # Any other entry is a rename the tracer missed.
 DELETED_SPANS = ["teacher.run_online"]
 
+# One usable CPU, so nothing forks: a forked worker's counters would stay
+# in the worker, and the grid test would count only this process's share.
 SCRIPT = """
-import contextlib, io, json, sys
+import contextlib, io, json, os, sys
 sys.path[:0] = [sys.argv[1], sys.argv[2]]
+os.sched_getaffinity = lambda pid: {0}
 from layers import Tracer
 tracer = Tracer()
 tracer.install()

@@ -158,7 +158,11 @@ class TestMultinomialRunner:
         streams = sample_sequence(
             Categorical(theta0), 12, spawn(4242, [(t,) for t in range(40)]))
         expected = [np.bincount(row, minlength=len(theta0)) for row in streams]
-        assert np.array_equal(tallied[0], expected)
+        rows, which = tallied[0]
+        assert np.array_equal(rows[which], expected)
+        # the originals, their online counts, and the originals again for the
+        # batch errors: sorted once, not once per budget
+        assert len(tallied) == 3 and tallied[2] is tallied[0]
 
 
 class TestBinomialRunner:
@@ -218,12 +222,15 @@ class TestBoundsRunner:
             assert r["trials"] == 2000
             assert r["var_corr"] <= r["bound_abs"]
 
-    def test_one_report_per_grid_point_and_nothing_on_stderr(self, monkeypatch, capsys):
+    def test_one_report_per_grid_point_and_nothing_on_stderr(self, monkeypatch, capsys,
+                                                             tmp_path):
         real = experiments.monte_carlo_report
-        calls = []
+        log = tmp_path / "calls"
 
         def counted(n, m, b, trials, seed):
-            calls.append((n, m, b))
+            # appended to a file, so calls in a forked worker count too
+            with open(log, "a") as fh:
+                fh.write(f"{n} {m} {b}\n")
             return real(n, m, b, trials, seed)
 
         monkeypatch.setattr(experiments, "monte_carlo_report", counted)
@@ -232,6 +239,7 @@ class TestBoundsRunner:
             "--budgets", "0,1", "--trials", "1000",
         ]) == cli.EXIT_OK
         assert capsys.readouterr().err == ""
+        calls = [tuple(map(int, line.split())) for line in log.read_text().splitlines()]
         assert sorted(calls) == sorted(
             (n, m, b) for n in (5, 10) for m in (1, 2) for b in (0, 1)
         )

@@ -396,7 +396,7 @@ class TestReplayAll:
 
     def test_distinct_rows_are_sorted_with_each_rows_position(self):
         rows = np.array([(1, 0, 2), (0, 3, 1), (1, 0, 2), (0, 3, 0)])
-        distinct, which = teacher._distinct_rows(rows)
+        distinct, which = teacher.distinct_rows(rows)
         assert distinct.tolist() == [[0, 3, 0], [0, 3, 1], [1, 0, 2]]
         assert which.tolist() == [2, 1, 2, 0]
 
@@ -443,7 +443,10 @@ class TestReplays:
         ):
             policy, _ = solved_policy(theta, 5, budget)
             oracle = [stream_replay(row, 3, policy, budget) for row in streams.tolist()]
-            assert [tuple(row) for row in counts.tolist()] == [c for _, c, _ in oracle]
+            rows, which = counts
+            assert [tuple(row) for row in rows[which].tolist()] == [c for _, c, _ in oracle]
+            # each distinct final count vector once, in sorted order
+            assert [tuple(row) for row in rows.tolist()] == sorted({c for _, c, _ in oracle})
             assert spent.tolist() == [b for _, _, b in oracle]
             seen.append(budget)
         assert seen == list(budgets)
