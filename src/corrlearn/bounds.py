@@ -38,8 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ConfigError
-from .dp import CeilingExceededError
+from .core import CeilingExceededError, ConfigError
 
 MIN_TRIALS = 1000
 # Rows of draws held at once up to n = 25, fewer beyond so that a block

@@ -2,7 +2,8 @@
 
 Outcome alphabets are indexed 0..K-1 where K is the number of distinct
 values (K >= 2 everywhere). ``ConfigError`` marks bad input (exit 2 in the
-CLI); any other ``ValueError`` is a bug. All types are immutable; sampling
+CLI) and ``CeilingExceededError`` a run too large for the machine (exit 3);
+any other ``ValueError`` is a bug. All types are immutable; sampling
 takes an explicit seed per stream, so there is no shared generator state
 to protect. Seeds are plain integers in [0, 2**64); ``spawn`` derives
 child seeds as a uint64 array. A stream is a row of an int array of outcome
@@ -23,6 +24,11 @@ import numpy as np
 
 class ConfigError(ValueError):
     """Bad input: a configuration, flag or file the program cannot run."""
+
+
+class CeilingExceededError(RuntimeError):
+    """The run would pass a resource ceiling: solver states, ``bounds``
+    trials or draws per grid point, or sampled draw units."""
 
 
 # Probability vectors must sum to 1 within this absolute tolerance.

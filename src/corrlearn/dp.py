@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .core import CountVector
+from .core import CeilingExceededError, CountVector
 from .mdp import (
     Action,
     MdpSpec,
@@ -27,10 +27,6 @@ from .mdp import (
 # (4, 15, 2) as the process's VmHWM growth over the solve, Python 3.11), so
 # 5M units at up to ~400 bytes each keeps a solve at the ceiling near 2 GB.
 DEFAULT_STATE_CEILING = 5_000_000
-
-
-class CeilingExceededError(RuntimeError):
-    """The configured state-space or recursion ceiling would be exceeded."""
 
 
 @dataclass(frozen=True)
@@ -54,29 +50,19 @@ class Policy:
             ) from None
 
 
-def check_state_bound(k: int, n: int, budget: int, ceiling: int = DEFAULT_STATE_CEILING) -> int:
+def check_state_bound(k: int, n: int, budget: int) -> int:
     """``state_count_bound(k, n, budget)``, the size of a solve up to
-    ``budget``; ``CeilingExceededError`` if it is above ``ceiling``."""
+    ``budget``; ``CeilingExceededError`` above ``DEFAULT_STATE_CEILING``."""
     bound = state_count_bound(k, n, budget)
-    if bound > ceiling:
+    if bound > DEFAULT_STATE_CEILING:
         raise CeilingExceededError(
-            f"state bound {bound} exceeds the ceiling {ceiling} "
+            f"state bound {bound} exceeds the ceiling {DEFAULT_STATE_CEILING} "
             f"for k={k}, n={n}, budget={budget}"
         )
     return bound
 
 
-def root_value(policy: Policy, spec: MdpSpec, budget: int) -> float:
-    """Optimal expected reward before the first observation, at ``budget``."""
-    total = 0.0  # added in outcome order, as in ``solve``
-    for s, p in arrivals((0,) * spec.k, budget, spec):
-        total += p * policy.values[1][s]
-    return total
-
-
-def solve(
-    spec: MdpSpec, budgets: Iterable[int], ceiling: int = DEFAULT_STATE_CEILING
-) -> Policy:
+def solve(spec: MdpSpec, budgets: Iterable[int]) -> Policy:
     """Exact optimal policy and value function by backward induction.
 
     Reachability is taken under all feasible actions, not just optimal
@@ -97,7 +83,7 @@ def solve(
         raise ValueError("no start budgets to solve for")
     if budgets[0] < 0:
         raise ValueError("budget must be nonnegative")
-    check_state_bound(spec.k, spec.n, budgets[-1], ceiling)
+    check_state_bound(spec.k, spec.n, budgets[-1])
 
     # pairs[t]: post-decision (counts, budget) after the decision at stage t
     pairs: list[set[tuple[tuple[int, ...], int]]] = [{((0,) * spec.k, b) for b in budgets}]

@@ -6,6 +6,8 @@ order, so ``run_and_format`` serialises any experiment the same way.
 Trial streams derive from (seed, structural indices) only, so repeat runs
 emit byte-identical output. CSV uses a fixed header, 12-significant-digit
 reals and LF line endings; JSON output carries the same rows as objects.
+Only this module samples streams and replays the teacher on them; the
+runners score with the models of ``batch``, ``bounds`` and ``likelihood``.
 
 Independent jobs run in forked processes, one share per usable CPU,
 split longest-first by cost: the n keys of ``variance`` and ``bio``, each
@@ -29,7 +31,7 @@ import pickle
 import threading
 from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Any, Callable, NamedTuple, Sequence
+from typing import Any, Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -39,7 +41,7 @@ from .core import (
     Categorical, ConfigError, CountVector, empirical_estimate, l1_error, sample_sequence, spawn,
 )
 from .dp import DEFAULT_STATE_CEILING, CeilingExceededError, check_state_bound
-from .likelihood import CandidateSet, default_candidates, misclassification_experiment
+from .likelihood import CandidateSet, bio_terminal_reward, default_candidates, ml_estimate
 from .mdp import l1_terminal_reward
 from .teacher import distinct_rows, per_distinct_counts, replays
 
@@ -346,7 +348,8 @@ def run_bounds(config: ExperimentConfig) -> list[Row]:
 
 
 def run_bio(config: ExperimentConfig) -> list[Row]:
-    """Misclassification rates per (n, budget) for the identification task."""
+    """Share of trials per (n, budget) cell whose final counts ``ml_estimate``
+    does not label ``theta0_label``. Streams are shared across budgets at each n."""
     candidates = (
         CandidateSet.from_file(config.candidates)
         if config.candidates else default_candidates()
@@ -355,22 +358,22 @@ def run_bio(config: ExperimentConfig) -> list[Row]:
     if label not in candidates.labels():
         raise ConfigError(f"theta0_label {label} not among {candidates.labels()}")
     _check_draws(config)
+    true_dist = candidates.by_label(label).action_dist
+    reward = bio_terminal_reward(label, candidates)
 
-    def rates(n: int) -> dict[int, float]:
+    def cells(n: int) -> list[Row]:
         (seed,) = spawn(config.seed, [(n,)]).tolist()
-        return misclassification_experiment(
-            label, candidates, n, config.budgets, config.trials, seed
-        )
-
-    k = candidates.by_label(label).action_dist.k
-    rows = []
-    for n, per_budget in zip(config.n_values, _per_n(config, k, rates)):
-        for budget in config.budgets:
+        streams = sample_sequence(true_dist, n, spawn(seed, [(t,) for t in range(config.trials)]))
+        rows = []
+        for budget, counts, _ in replays(streams, true_dist, reward, config.budgets):
+            labels = per_distinct_counts(lambda c: ml_estimate(c, candidates), counts)
             rows.append({
                 "n": n, "budget": budget, "trials": config.trials,
-                "misclassification_rate": per_budget[budget],
+                "misclassification_rate": sum(x != label for x in labels) / config.trials,
             })
-    return rows
+        return rows
+
+    return [row for rows in _per_n(config, true_dist.k, cells) for row in rows]
 
 
 def _per_n(config: ExperimentConfig, k: int, job: Callable[[int], Any]) -> list:
@@ -492,7 +495,7 @@ def _collect(pid: int, fd: int, part: list[int]) -> tuple[list, Failure | None]:
             "sent no readable results"))
 
 
-def format_csv(columns: Sequence[str], rows: Sequence[Sequence[Any]]) -> str:
+def format_csv(columns: Sequence[str], rows: Iterable[Sequence[Any]]) -> str:
     """Floats as ``%.12g`` (the bytes of ``format(v, ".12g")``), the rest as
     ``str``, by one template per row shape (its cells' types)."""
     templates: dict[tuple[type, ...], str] = {}
@@ -511,7 +514,7 @@ def run_and_format(config: ExperimentConfig) -> str:
     rows = EXPERIMENTS[config.experiment].run(config)
     if config.fmt == "json":
         return json.dumps(rows, indent=2) + "\n"
-    return format_csv(tuple(rows[0]), [tuple(row.values()) for row in rows])
+    return format_csv(tuple(rows[0]), (tuple(row.values()) for row in rows))
 
 
 def write_output(text: str, path: str | None) -> None:

@@ -5,6 +5,7 @@ few known behavioural models (labelled by an integer parameter) produced
 the actions. The action-count vector is a sufficient statistic for an
 i.i.d. categorical likelihood, so the correction process plugs in here
 unchanged, with the terminal reward swapped for an identification score.
+Only the model lives here; ``experiments.run_bio`` samples and replays.
 
 Candidate sets ship as data files, not code constants, so other forward
 models drop in without edits. The default set has three models over four
@@ -19,9 +20,8 @@ from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
-from .core import Categorical, ConfigError, CountVector, sample_sequence, spawn
+from .core import Categorical, ConfigError, CountVector
 from .mdp import TerminalReward
-from .teacher import per_distinct_counts, replays
 
 CANDIDATE_FILE_VERSION = 1
 
@@ -107,8 +107,9 @@ def negative_log_likelihood(counts: CountVector, model: CandidateModel) -> float
     return total
 
 
-def ml_estimate(counts: CountVector, candidates: CandidateSet) -> int:
-    """Label of the candidate minimising the negative log likelihood.
+def ml_estimate(counts: CountVector, candidates: CandidateSet) -> int | None:
+    """Label of the candidate minimising the negative log likelihood, or
+    None for counts that no candidate explains.
 
     Ties break to the smallest label.
     """
@@ -121,16 +122,7 @@ def ml_estimate(counts: CountVector, candidates: CandidateSet) -> int:
         if nll < best:
             best = nll
             best_label = model.theta
-    if best_label is None:
-        raise ValueError("history impossible under all candidates")
     return best_label
-
-
-def _identify(counts: CountVector, candidates: CandidateSet) -> int | None:
-    """``ml_estimate``, or None for counts that no candidate can produce."""
-    if min(negative_log_likelihood(counts, m) for m in candidates.models) == math.inf:
-        return None
-    return ml_estimate(counts, candidates)
 
 
 def bio_terminal_reward(theta0_label: int, candidates: CandidateSet) -> TerminalReward:
@@ -140,35 +132,7 @@ def bio_terminal_reward(theta0_label: int, candidates: CandidateSet) -> Terminal
     worst = max(abs(label - theta0_label) for label in candidates.labels())
 
     def evaluate(counts: CountVector) -> float:
-        label = _identify(counts, candidates)
+        label = ml_estimate(counts, candidates)
         return -worst if label is None else -abs(label - theta0_label)
 
     return TerminalReward(evaluate)
-
-
-def misclassification_experiment(
-    theta0_label: int,
-    candidates: CandidateSet,
-    n: int,
-    budgets: tuple[int, ...],
-    trials: int,
-    seed: int,
-) -> dict[int, float]:
-    """Fraction of episodes where the student identifies the wrong model,
-    per budget.
-
-    Observations come from the true model's action distribution; the
-    teacher replays its solved policy on each stream. Trial streams are
-    derived from (seed, trial) only, so every budget sees the same data.
-    Final counts that no candidate explains count as misidentified.
-    """
-    if trials < 1:
-        raise ValueError("need at least one trial")
-    true_dist = candidates.by_label(theta0_label).action_dist
-    reward = bio_terminal_reward(theta0_label, candidates)
-    streams = sample_sequence(true_dist, n, spawn(seed, [(t,) for t in range(trials)]))
-    rates: dict[int, float] = {}
-    for budget, counts, _ in replays(streams, true_dist, reward, budgets):
-        labels = per_distinct_counts(lambda c: _identify(c, candidates), counts)
-        rates[budget] = sum(label != theta0_label for label in labels) / trials
-    return rates

@@ -21,7 +21,7 @@ from corrlearn import cli
 from corrlearn.batch import attainable_error, e_min
 from corrlearn.bounds import monte_carlo_report
 from corrlearn.core import Categorical, CountVector, empirical_estimate, l1_error, spawn
-from corrlearn.dp import root_value, solve
+from corrlearn.dp import solve
 from corrlearn.experiments import (
     ExperimentConfig,
     run_bio,
@@ -30,7 +30,9 @@ from corrlearn.experiments import (
 )
 from corrlearn.mdp import MdpSpec, l1_terminal_reward
 from corrlearn.teacher import replay_all
-from oracles import BinomialThresholdPolicy, brute_force_value, expected_online_error
+from oracles import (
+    BinomialThresholdPolicy, brute_force_value, expected_online_error, root_value,
+)
 
 ACCEPT_SEED = 20260811
 

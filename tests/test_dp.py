@@ -8,12 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from corrlearn.core import Categorical, CountVector
-from corrlearn.dp import (
-    CeilingExceededError,
-    policy_dump,
-    root_value,
-    solve,
-)
+from corrlearn import dp
+from corrlearn.dp import CeilingExceededError, policy_dump, solve
 from corrlearn.mdp import (
     MdpSpec,
     TeacherState,
@@ -24,7 +20,7 @@ from corrlearn.mdp import (
     l1_terminal_reward,
 )
 from corrlearn.likelihood import bio_terminal_reward, default_candidates
-from oracles import brute_force_value
+from oracles import brute_force_value, root_value
 from test_mdp import reachable_states
 
 
@@ -246,10 +242,14 @@ class TestPolicyAndTable:
         assert len(calls) == len(set(calls))
         assert set(calls) == finals
 
-    def test_solve_ceiling_names_the_bound(self):
-        spec = spec_for(Categorical((0.5, 0.5)), 10)
-        with pytest.raises(CeilingExceededError, match="state bound"):
-            solve(spec, (1,), ceiling=10)
+    def test_solve_ceiling_names_the_bound(self, monkeypatch):
+        # k=3, budget 1: n=169 is the first horizon whose state bound passes
+        # the ceiling, and the check fires before a single state is built
+        spec = spec_for(Categorical((0.4, 0.3, 0.3)), 169)
+        monkeypatch.setattr(dp, "arrivals", lambda *args: pytest.fail("a state was built"))
+        with pytest.raises(CeilingExceededError,
+                           match=r"state bound \d+ exceeds the ceiling 5000000 for k=3, n=169"):
+            solve(spec, (1,))
 
 
 def bio_spec(n):

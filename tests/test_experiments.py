@@ -592,6 +592,7 @@ FAULTS = {
      "error: budget must lie in [0, n*m]\n"),
     ("bounds --seed 1 --trials 999", None, 2, "error: need at least 1000 trials\n"),
     ("multinomial --seed -1", None, 2, "error: seed must fit in an unsigned 64-bit integer\n"),
+    ("bio --seed 1 --trials 0", None, 2, "error: trials must be positive\n"),
     ("bio --seed 1 --candidates {models}", None, 2,
      "error: candidate file {models}: must hold a JSON object, got list\n"),
     ("solve --n 100 --budget 1 --theta0 0.2,0.2,0.2,0.2,0.2", None, 3, "exceeds the ceiling"),
@@ -603,8 +604,9 @@ FAULTS = {
     ("bounds --seed 1", "failed-assertion", 4,
      "internal error: AssertionError: projection moved a sum beyond the budget\n"),
 ], ids=["solve-n-0", "solve-theta0-sum", "solve-negative-budget", "bounds-budget-above-nm",
-        "bounds-too-few-trials", "seed-out-of-range", "malformed-candidates", "solve-state-ceiling",
-        "solve-huge-n", "bounds-huge-n", "internal-value-error", "internal-assertion"])
+        "bounds-too-few-trials", "seed-out-of-range", "bio-no-trials", "malformed-candidates",
+        "solve-state-ceiling", "solve-huge-n", "bounds-huge-n", "internal-value-error",
+        "internal-assertion"])
 def test_process_exit_codes(tmp_path, argv, fault, code, message):
     """Exit 2 for bad input, 3 for a ceiling and 4 for a bug, as a process."""
     models = tmp_path / "models.json"

@@ -17,7 +17,7 @@ from corrlearn.core import (
     sample_sequence,
     spawn,
 )
-from corrlearn.dp import root_value, solve
+from corrlearn.dp import solve
 from corrlearn.mdp import (
     Action,
     BudgetExhaustedError,
@@ -30,7 +30,7 @@ from corrlearn.teacher import (
     replay_all,
     replays,
 )
-from oracles import BinomialThresholdPolicy, expected_online_error
+from oracles import BinomialThresholdPolicy, expected_online_error, root_value
 
 
 def spec_for(theta, n):
