@@ -22,7 +22,7 @@ from .mdp import (
     state_count_bound,
 )
 
-# A solve's peak RSS grows by 300-345 bytes per unit of ``state_count_bound``
+# A solve's peak RSS grows by 268-300 bytes per unit of ``state_count_bound``
 # (measured at (k, n, budget) = (3, 25, 2), (3, 40, 3), (3, 60, 3) and
 # (4, 15, 2) as the process's VmHWM growth over the solve, Python 3.11), so
 # 5M units at up to ~400 bytes each keeps a solve at the ceiling near 2 GB.
@@ -31,14 +31,14 @@ DEFAULT_STATE_CEILING = 5_000_000
 
 @dataclass(frozen=True)
 class Policy:
-    """Per-stage maps from reachable state to the chosen action and to its
-    optimal expected reward."""
+    """Per-stage maps from reachable state to the chosen action, and the
+    optimal expected reward before the first draw per start budget."""
 
     k: int
     n: int
     budgets: tuple[int, ...]  # the start budgets it serves
     stages: dict[int, dict[TeacherState, Action]]
-    values: dict[int, dict[TeacherState, float]]
+    root_values: dict[int, float]  # W((0,)*k, b) for each b in budgets
 
     def action_for(self, state: TeacherState) -> Action:
         try:
@@ -63,7 +63,7 @@ def check_state_bound(k: int, n: int, budget: int) -> int:
 
 
 def solve(spec: MdpSpec, budgets: Iterable[int]) -> Policy:
-    """Exact optimal policy and value function by backward induction.
+    """Exact optimal policy and root values by backward induction.
 
     Reachability is taken under all feasible actions, not just optimal
     ones, so the returned policy covers any replay a budget-respecting
@@ -75,8 +75,9 @@ def solve(spec: MdpSpec, budgets: Iterable[int]) -> Policy:
 
     The forward pass starts from every one of ``budgets``. W(counts,
     budget) does not depend on the start, and each pair is valued from the
-    same successors in the same order, so values match a one-start solve
-    bit for bit.
+    same successors in the same order, so actions and root values match a
+    one-start solve bit for bit. The root value of budget b is the W of
+    ((0,)*k, b), which the backward pass leaves after stage 1.
     """
     budgets = tuple(sorted(set(budgets)))
     if not budgets:
@@ -101,10 +102,8 @@ def solve(spec: MdpSpec, budgets: Iterable[int]) -> Policy:
         for counts in {counts for counts, _ in finals}
     }
     ahead = {pair: reward[pair[0]] for pair in finals}
-    values: dict[int, dict[TeacherState, float]] = {}
     actions: dict[int, dict[TeacherState, Action]] = {}
     for stage in range(spec.n, 0, -1):
-        stage_values: dict[TeacherState, float] = {}
         stage_actions: dict[TeacherState, Action] = {}
         behind: dict[tuple[tuple[int, ...], int], float] = {}
         for counts, budget in pairs.pop():
@@ -121,15 +120,14 @@ def solve(spec: MdpSpec, budgets: Iterable[int]) -> Policy:
                         best = value
                         best_action = action
                 assert best_action is not None
-                stage_values[state] = best
                 stage_actions[state] = best_action
                 total += p * best
             behind[(counts, budget)] = total
-        values[stage] = stage_values
         actions[stage] = stage_actions
         ahead = behind
 
-    return Policy(spec.k, spec.n, budgets, actions, values)
+    return Policy(spec.k, spec.n, budgets, actions,
+                  {b: ahead[(0,) * spec.k, b] for b in budgets})
 
 
 def policy_dump(policy: Policy) -> str:

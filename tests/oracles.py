@@ -3,9 +3,7 @@ answers to check the package's production paths against.
 
 - ``brute_force_value``: unmemoised expectimax over post-decision pairs,
   through every observation outcome and every feasible action; checks
-  ``dp.solve``.
-- ``root_value``: a solved policy's optimal expected reward before the
-  first observation, read from its stage-1 values.
+  the root values ``dp.solve`` returns.
 - ``BinomialThresholdPolicy``: the closed-form two-outcome teacher.
 - ``expected_online_error``: exact forward evaluation of any policy.
 - ``project_sum``: the scalar projection that ``bounds.monte_carlo_report``
@@ -27,7 +25,6 @@ import math
 from dataclasses import dataclass
 
 from corrlearn.core import Categorical, CeilingExceededError, CountVector
-from corrlearn.dp import Policy
 from corrlearn.mdp import (
     Action,
     MdpSpec,
@@ -40,14 +37,6 @@ from corrlearn.mdp import (
 from corrlearn.teacher import TeacherPolicy, _check_policy
 
 DEFAULT_BRUTE_CEILING = 100_000_000
-
-
-def root_value(policy: Policy, spec: MdpSpec, budget: int) -> float:
-    """Optimal expected reward before the first observation, at ``budget``."""
-    total = 0.0  # added in outcome order, as in ``solve``
-    for s, p in arrivals((0,) * spec.k, budget, spec):
-        total += p * policy.values[1][s]
-    return total
 
 
 def brute_force_value(

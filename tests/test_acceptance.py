@@ -31,7 +31,7 @@ from corrlearn.experiments import (
 from corrlearn.mdp import MdpSpec, l1_terminal_reward
 from corrlearn.teacher import replay_all
 from oracles import (
-    BinomialThresholdPolicy, brute_force_value, expected_online_error, root_value,
+    BinomialThresholdPolicy, brute_force_value, expected_online_error,
 )
 
 ACCEPT_SEED = 20260811
@@ -103,7 +103,7 @@ def test_criterion_3_oracle_equivalence():
             for budget in (0, 1, 2):
                 for theta in thetas[k]:
                     spec = l1_spec(theta, n)
-                    root = root_value(solve(spec, (budget,)), spec, budget)
+                    root = solve(spec, (budget,)).root_values[budget]
                     diff = abs(root - brute_force_value(spec, budget))
                     worst = max(worst, diff)
                     cells += 1
@@ -121,7 +121,7 @@ def test_criterion_4_closed_form_policy_value():
     policy = BinomialThresholdPolicy(theta, 10)
     expected = expected_online_error(policy, theta, 10, 1)
     spec = l1_spec(theta, 10)
-    diff = abs(-expected - root_value(solve(spec, (1,)), spec, 1))
+    diff = abs(-expected - solve(spec, (1,)).root_values[1])
     elapsed = time.perf_counter() - start
     ok = diff < 1e-12 and elapsed < 5
     report(4, ok, f"|closed-form E[err] - solver root| = {diff:.2e}, {elapsed:.1f}s")

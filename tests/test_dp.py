@@ -1,6 +1,6 @@
 import itertools
 import math
-import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -20,7 +20,7 @@ from corrlearn.mdp import (
     l1_terminal_reward,
 )
 from corrlearn.likelihood import bio_terminal_reward, default_candidates
-from oracles import brute_force_value, root_value
+from oracles import brute_force_value
 from test_mdp import reachable_states
 
 
@@ -28,20 +28,20 @@ def spec_for(theta, n):
     return MdpSpec(n=n, model=theta, reward=l1_terminal_reward(theta))
 
 
-def passive_expected_error(theta, state, n):
+def passive_expected_error(theta, counts, n):
     """Direct expectation of the final l1 error when nothing is ever
-    changed, conditioned on `state`. Independent of the solver."""
+    changed, from the tallies `counts`. Independent of the solver."""
     k = theta.k
-    remaining = n - sum(state.counts)
+    remaining = n - sum(counts)
     total = 0.0
     for tail in itertools.product(range(k), repeat=remaining):
         prob = 1.0
         for v in tail:
             prob *= theta.probs[v]
-        counts = list(state.counts)
+        final = list(counts)
         for v in tail:
-            counts[v] += 1
-        err = math.fsum(abs(c / n - p) for c, p in zip(counts, theta.probs))
+            final[v] += 1
+        err = math.fsum(abs(c / n - p) for c, p in zip(final, theta.probs))
         total += prob * err
     return total
 
@@ -54,16 +54,16 @@ class TestSolveSmallCases:
         spec = spec_for(theta, 1)
         for budget in (0, 1):
             policy = solve(spec, (budget,))
-            assert root_value(policy, spec, budget) == pytest.approx(-1.0, abs=1e-12)
+            assert policy.root_values[budget] == pytest.approx(-1.0, abs=1e-12)
 
     def test_two_draws_no_budget(self):
         # sequences 00 and 11 leave error 1, the mixed ones error 0
         spec = spec_for(Categorical((0.5, 0.5)), 2)
-        assert root_value(solve(spec, (0,)), spec, 0) == pytest.approx(-0.5, abs=1e-12)
+        assert solve(spec, (0,)).root_values[0] == pytest.approx(-0.5, abs=1e-12)
 
     def test_two_draws_one_correction_fixes_everything(self):
         spec = spec_for(Categorical((0.5, 0.5)), 2)
-        assert root_value(solve(spec, (1,)), spec, 1) == pytest.approx(0.0, abs=1e-12)
+        assert solve(spec, (1,)).root_values[1] == pytest.approx(0.0, abs=1e-12)
 
 
 class TestBruteForce:
@@ -75,14 +75,7 @@ class TestBruteForce:
     def test_passive_case_equals_direct_expectation(self):
         theta = Categorical((1 / 3,) * 3)
         spec = spec_for(theta, 3)
-        direct = -sum(
-            p * passive_expected_error(theta, s, 3)
-            for s, p in (
-                (TeacherState(tuple(1 if i == y else 0 for i in range(3)), 0, y),
-                 theta.probs[y])
-                for y in range(3)
-            )
-        )
+        direct = -passive_expected_error(theta, (0,) * 3, 3)
         assert brute_force_value(spec, 0) == pytest.approx(direct, abs=1e-12)
 
     def test_ceiling_rejected(self):
@@ -103,7 +96,7 @@ class TestOracleEquivalence:
             Categorical((0.6, 0.4, 0.0)),
         ):
             spec = spec_for(theta, n)
-            assert root_value(solve(spec, (budget,)), spec, budget) == pytest.approx(
+            assert solve(spec, (budget,)).root_values[budget] == pytest.approx(
                 brute_force_value(spec, budget), abs=1e-12
             )
 
@@ -111,7 +104,7 @@ class TestOracleEquivalence:
         for theta in (Categorical((0.7, 0.3)), Categorical((0.4, 0.3, 0.3))):
             for n in (1, 2, 3, 4, 5):
                 spec = spec_for(theta, n)
-                roots = [root_value(solve(spec, (b,)), spec, b) for b in (0, 1, 2)]
+                roots = [solve(spec, (b,)).root_values[b] for b in (0, 1, 2)]
                 assert roots[0] <= roots[1] + 1e-12
                 assert roots[1] <= roots[2] + 1e-12
 
@@ -125,47 +118,28 @@ class TestPolicyAndTable:
                     assert action.target == state.last_obs
 
     def test_values_bounded_for_l1_reward(self):
-        policy = solve(spec_for(Categorical((0.4, 0.3, 0.3)), 5), (1,))
-        for stage_values in policy.values.values():
-            for value in stage_values.values():
-                assert -2.0 <= value <= 0.0
-
-    def test_bellman_consistency_spot_check(self):
-        spec = spec_for(Categorical((0.4, 0.3, 0.3)), 6)
-        policy = solve(spec, (2,))
-        rng = random.Random(55)
-        states = [
-            (stage, state)
-            for stage in range(1, spec.n)
-            for state in policy.values[stage]
-        ]
-        for stage, state in rng.sample(states, min(1000, len(states))):
-            action = policy.stages[stage][state]
-            backup = math.fsum(
-                p * policy.values[stage + 1][succ]
-                for succ, p in arrivals(*apply_action(state, action), spec)
-            )
-            assert policy.values[stage][state] == pytest.approx(backup, abs=1e-12)
+        policy = solve(spec_for(Categorical((0.4, 0.3, 0.3)), 5), (0, 1, 2))
+        for value in policy.root_values.values():
+            assert -2.0 <= value <= 0.0
 
     def test_terminal_stage_values_are_best_final_rewards(self):
+        # each last decision reaches a final count vector of best reward
         spec = spec_for(Categorical((0.5, 0.5)), 4)
         policy = solve(spec, (1,))
-        for state, value in policy.values[spec.n].items():
-            best = max(
-                spec.reward.evaluate(CountVector(apply_action(state, action)[0]))
-                for action in feasible_actions(state, spec.k)
-            )
-            assert value == pytest.approx(best, abs=1e-12)
+
+        def final_reward(state, action):
+            return spec.reward.evaluate(CountVector(apply_action(state, action)[0]))
+
+        for state, action in policy.stages[spec.n].items():
+            assert final_reward(state, action) == max(
+                final_reward(state, a) for a in feasible_actions(state, spec.k))
 
     def test_zero_budget_states_match_passive_expectation(self):
         theta = Categorical((0.4, 0.3, 0.3))
         spec = spec_for(theta, 4)
-        policy = solve(spec, (1,))
-        for stage in range(1, spec.n + 1):
-            for state in policy.values[stage]:
-                if state.budget == 0:
-                    expected = -passive_expected_error(theta, state, spec.n)
-                    assert policy.values[stage][state] == pytest.approx(expected, abs=1e-12)
+        policy = solve(spec, (0, 1))
+        assert policy.root_values[0] == pytest.approx(
+            -passive_expected_error(theta, (0,) * 3, spec.n), abs=1e-12)
 
     def test_initial_state_values_match_conditioned_recursion(self):
         # expectimax restarted from each first observation, written out
@@ -199,17 +173,15 @@ class TestPolicyAndTable:
                     ))
             return max(outcomes)
 
-        for y in range(2):
-            counts = tuple(1 if i == y else 0 for i in range(2))
-            state = TeacherState(counts, budget, y)
-            assert policy.values[1][state] == pytest.approx(
-                best(counts, budget, y, 1), abs=1e-12
-            )
+        root = sum(theta.probs[y] * best(tuple(int(i == y) for i in range(2)), budget, y, 1)
+                   for y in range(2))
+        assert policy.root_values[budget] == pytest.approx(root, abs=1e-12)
 
     def test_policy_covers_all_reachable_states(self):
-        policy = solve(spec_for(Categorical((0.4, 0.3, 0.3)), 5), (1,))
-        for stage in range(1, policy.n + 1):
-            assert set(policy.stages[stage]) == set(policy.values[stage])
+        spec = spec_for(Categorical((0.4, 0.3, 0.3)), 5)
+        policy = solve(spec, (1,))
+        assert {stage: set(actions) for stage, actions in policy.stages.items()} == (
+            reachable_states(spec, 1))
 
     @pytest.mark.parametrize("probs", [(1.0, 0.0), (0.6, 0.4, 0.0), (0.5, 0.5, 0.0)])
     @pytest.mark.parametrize("budget", [0, 1, 2])
@@ -236,11 +208,26 @@ class TestPolicyAndTable:
         policy = solve(spec, (2,))
         finals = {
             apply_action(state, action)[0]
-            for state in policy.values[spec.n]
+            for state in policy.stages[spec.n]
             for action in feasible_actions(state, spec.k)
         }
         assert len(calls) == len(set(calls))
         assert set(calls) == finals
+
+    def test_policy_memory_holds_no_per_state_values(self):
+        # the (4, 15, 2) policy retained 11.5 MiB while it kept a value per
+        # state beside each action, and 10.0 MiB with the actions alone
+        theta = Categorical((0.4, 0.3, 0.2, 0.1))
+        solve(spec_for(theta, 2), (1,))  # first-call set-up
+        tracemalloc.start()
+        try:
+            before, _ = tracemalloc.get_traced_memory()
+            policy = solve(spec_for(theta, 15), (2,))
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(policy.stages) == 15
+        assert retained <= 10.5 * 2**20
 
     def test_solve_ceiling_names_the_bound(self, monkeypatch):
         # k=3, budget 1: n=169 is the first horizon whose state bound passes
@@ -260,8 +247,8 @@ def bio_spec(n):
 
 class TestSharedSolve:
     """One solve seeded with several start budgets against one solve per
-    budget: same actions and bit-equal values on every state, and every
-    budget's root read from the one shared policy."""
+    budget: same actions on every state, and every budget's root value
+    bit-equal to its own solve's."""
 
     @pytest.mark.parametrize("spec", [
         spec_for(Categorical((0.4, 0.3, 0.3)), 6),
@@ -279,8 +266,7 @@ class TestSharedSolve:
                 covered.setdefault(stage, set()).update(actions)
                 for state, action in actions.items():
                     assert shared.action_for(state) == action
-                    assert shared.values[stage][state] == policy.values[stage][state]
-            assert root_value(shared, spec, budget) == root_value(policy, spec, budget)
+            assert shared.root_values[budget] == policy.root_values[budget]
         assert {stage: set(states) for stage, states in shared.stages.items()} == covered
 
     @settings(max_examples=25, deadline=None)
@@ -292,7 +278,7 @@ class TestSharedSolve:
     def test_root_value_never_falls_as_the_start_budget_grows(self, probs, n, top):
         spec = spec_for(Categorical(probs), n)
         policy = solve(spec, range(top + 1))
-        roots = [root_value(policy, spec, b) for b in range(top + 1)]
+        roots = [policy.root_values[b] for b in range(top + 1)]
         assert roots == sorted(roots)
 
     def test_no_budgets_rejected(self):
@@ -349,31 +335,45 @@ def exact_pair_value(thetas, n):
     return w
 
 
-def float_pair_value(policy, spec):
-    """W(counts, budget) in floats from ``policy.values``, added in
-    outcome order as ``solve`` adds it."""
+def float_pair_value(spec):
+    """W(counts, budget) in floats by memoised recursion, computed as
+    ``solve`` computes it: arrivals added in outcome order from 0.0, each
+    valued by its first strictly best action."""
+    memo = {}
+
     def w(counts, budget):
-        if sum(counts) == spec.n:
-            return spec.reward.evaluate(CountVector(counts))
-        total = 0.0
-        for state, p in arrivals(counts, budget, spec):
-            total += p * policy.values[state.stage][state]
-        return total
+        if (counts, budget) not in memo:
+            if sum(counts) == spec.n:
+                value = spec.reward.evaluate(CountVector(counts))
+            else:
+                value = 0.0
+                for state, p in arrivals(counts, budget, spec):
+                    best = float("-inf")
+                    for action in feasible_actions(state, spec.k):
+                        after = w(*apply_action(state, action))
+                        if after > best:
+                            best = after
+                    value += p * best
+            memo[counts, budget] = value
+        return memo[counts, budget]
 
     return w
 
 
-def choices(thetas, n, budgets):
-    """(spec, policy, state, feasible actions) for every state of one
-    float solve at which the teacher has more than one action."""
-    theta = Categorical(tuple(float(t) for t in thetas))
-    spec = spec_for(theta, n)
-    policy = solve(spec, budgets)
+def float_solve(thetas, n, budgets):
+    """(spec, policy) of the float solve for the decimal strings ``thetas``."""
+    spec = spec_for(Categorical(tuple(float(t) for t in thetas)), n)
+    return spec, solve(spec, budgets)
+
+
+def choices(policy):
+    """(state, feasible actions) for every state of ``policy`` at which
+    the teacher has more than one action."""
     for stage in policy.stages.values():
         for state in stage:
-            actions = feasible_actions(state, spec.k)
+            actions = feasible_actions(state, policy.k)
             if len(actions) > 1:
-                yield spec, policy, state, actions
+                yield state, actions
 
 
 # theta = (p, 1 - p) for p in {.45, .35, .3, .25}, n in {10, 20}, budgets 0-3
@@ -395,8 +395,9 @@ class TestExactTies:
     ])
     def test_float_policy_takes_an_exact_optimum(self, thetas, n, budgets):
         w = exact_pair_value(thetas, n)
+        _, policy = float_solve(thetas, n, budgets)
         wrong = []
-        for _, policy, state, actions in choices(thetas, n, budgets):
+        for state, actions in choices(policy):
             exact = {a: w(*apply_action(state, a)) for a in actions}
             if exact[policy.action_for(state)] != max(exact.values()):
                 wrong.append(state)
@@ -405,9 +406,10 @@ class TestExactTies:
     def test_count_of_ties_rounding_decides_on_the_k2_grid(self):
         with_choice = ties = rounded = 0
         for thetas, n in K2_TIE_GRID:
-            w = exact_pair_value(thetas, n)
-            for spec, policy, state, actions in choices(thetas, n, (0, 1, 2, 3)):
-                fw = float_pair_value(policy, spec)
+            spec, policy = float_solve(thetas, n, (0, 1, 2, 3))
+            w, fw = exact_pair_value(thetas, n), float_pair_value(spec)
+            assert [fw((0, 0), b) for b in policy.budgets] == list(policy.root_values.values())
+            for state, actions in choices(policy):
                 with_choice += 1
                 keep, change = (apply_action(state, a) for a in actions)
                 if w(*keep) == w(*change):

@@ -106,23 +106,34 @@ def neumaier_sum(values, start=0):
     return total + compensation
 
 
+def root_values(argv):
+    """``repr`` of the root values of the solve case ``argv``."""
+    args = cli.build_parser().parse_args(argv)
+    return repr(dp.solve(cli._solve_spec(args), (args.budget,)).root_values)
+
+
 def test_solve_goldens_do_not_depend_on_the_builtin_sum(monkeypatch):
+    roots = {name: root_values(argv) for name, argv in SOLVE_CASES.items()}
     monkeypatch.setattr(dp, "sum", neumaier_sum, raising=False)
     differ = [name for name, argv in SOLVE_CASES.items()
-              if cli_stdout(argv).encode() != (GOLDEN / f"{name}.txt").read_bytes()]
+              if cli_stdout(argv).encode() != (GOLDEN / f"{name}.txt").read_bytes()
+              or root_values(argv) != roots[name]]
     assert differ == []
 
 
-# Runs in another interpreter: stdout of every solve case, by name, as JSON.
+# Runs in another interpreter: stdout and root values (as ``root_values``
+# gives them) of every solve case, by name, as JSON.
 CHILD = """
 import contextlib, io, json, sys
-from corrlearn import cli
+from corrlearn import cli, dp
 out = {}
 for name, argv in json.load(sys.stdin).items():
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):
         assert cli.main(argv) == 0
-    out[name] = buf.getvalue()
+    args = cli.build_parser().parse_args(argv)
+    roots = dp.solve(cli._solve_spec(args), (args.budget,)).root_values
+    out[name] = [buf.getvalue(), repr(roots)]
 json.dump(out, sys.stdout)
 """
 
@@ -141,7 +152,9 @@ def other_interpreters():
 
 def test_solve_goldens_under_other_pythons(tmp_path):
     """``dp``, ``mdp`` and the ``core`` types never call numpy, so the solve
-    cases run on interpreters without it, against an empty stub package."""
+    cases run on interpreters without it, against an empty stub package.
+    Their dumps match the goldens, and their root values this
+    interpreter's, bit for bit."""
     pythons = other_interpreters()
     if not pythons:
         pytest.skip("no other Python >= 3.10 installed")
@@ -149,14 +162,17 @@ def test_solve_goldens_under_other_pythons(tmp_path):
     (tmp_path / "numpy" / "__init__.py").write_text("")
     src = Path(cli.__file__).resolve().parent.parent
     env = {**os.environ, "PYTHONPATH": os.pathsep.join((str(src), str(tmp_path)))}
+    roots = {name: root_values(argv) for name, argv in SOLVE_CASES.items()}
     differ = []
     for python in pythons:
         run = subprocess.run([str(python), "-c", CHILD], input=json.dumps(SOLVE_CASES),
                              capture_output=True, text=True, env=env, timeout=300)
         assert run.returncode == 0, (python, run.stderr)
-        dumps = json.loads(run.stdout)
-        differ += [(python.parent.parent.name, name) for name, text in dumps.items()
-                   if text.encode() != (GOLDEN / f"{name}.txt").read_bytes()]
+        for name, (text, root) in json.loads(run.stdout).items():
+            if text.encode() != (GOLDEN / f"{name}.txt").read_bytes():
+                differ.append((python.parent.parent.name, name, "dump"))
+            if root != roots[name]:
+                differ.append((python.parent.parent.name, name, "root values"))
     assert differ == []
 
 

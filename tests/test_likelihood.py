@@ -16,7 +16,7 @@ from corrlearn.likelihood import (
     negative_log_likelihood,
 )
 from corrlearn.mdp import MdpSpec
-from oracles import brute_force_value, root_value
+from oracles import brute_force_value
 
 
 @pytest.fixture(scope="module")
@@ -208,7 +208,7 @@ class TestRewardPlumbing:
             for v in values:
                 counts[v] += 1
             direct -= prob * abs(ml_estimate(cv(counts), candidates) - 4)
-        assert root_value(policy, spec, 0) == pytest.approx(direct, abs=1e-12)
+        assert policy.root_values[0] == pytest.approx(direct, abs=1e-12)
 
 
     @pytest.mark.parametrize("budget", [0, 1, 2])
@@ -220,5 +220,5 @@ class TestRewardPlumbing:
         ))
         true_dist = models.by_label(4).action_dist
         spec = MdpSpec(n=3, model=true_dist, reward=bio_terminal_reward(4, models))
-        assert root_value(solve(spec, (budget,)), spec, budget) == pytest.approx(
+        assert solve(spec, (budget,)).root_values[budget] == pytest.approx(
             brute_force_value(spec, budget), abs=1e-12)

@@ -30,7 +30,7 @@ from corrlearn.teacher import (
     replay_all,
     replays,
 )
-from oracles import BinomialThresholdPolicy, expected_online_error, root_value
+from oracles import BinomialThresholdPolicy, expected_online_error
 
 
 def spec_for(theta, n):
@@ -40,7 +40,7 @@ def spec_for(theta, n):
 def solved_policy(theta, n, budget):
     spec = spec_for(theta, n)
     policy = solve(spec, (budget,))
-    return policy, root_value(policy, spec, budget)
+    return policy, policy.root_values[budget]
 
 
 def tally(values, k):
@@ -213,6 +213,32 @@ class TestBinomialOptimality:
         expected = expected_online_error(BinomialThresholdPolicy(theta, n), theta, n, budget)
         _, root = solved_policy(theta, n, budget)
         assert abs(expected + root) <= 1e-12
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        p=st.sampled_from([0.1, 0.2, 0.25, 0.3, 0.37, 0.45, 0.5, 0.55, 0.7, 0.9]),
+        n=st.integers(1, 30),
+        budget=st.integers(1, 5),
+    )
+    def test_online_teacher_ends_where_batch_correction_does(self, p, n, budget):
+        # at k=2 a value counted past its final quota can be flipped at once,
+        # and the flip is never regretted, so being online costs nothing
+        theta = Categorical((p, 1 - p))
+        policy, _ = solved_policy(theta, n, budget)
+        batch = [batch_correct(CountVector((j, n - j)), theta, budget) for j in range(n + 1)]
+        if n <= 12:
+            streams = all_streams(2, n)
+        else:
+            streams = (np.random.default_rng([n, budget]).random((3000, n)) >= p).astype(int)
+        _, counts, _ = replay_all(streams, 2, policy, budget)
+        # at a half-integer p*n both candidate counts are as close, and
+        # float rounding of their errors picks one
+        if abs(p * n % 1 - 0.5) > 1e-9:
+            zeros = (streams == 0).sum(axis=1)
+            assert counts.tolist() == [list(batch[j].corrected.counts) for j in zeros]
+        exact_batch = math.fsum(math.comb(n, j) * p**j * (1 - p)**(n - j) * batch[j].error
+                                for j in range(n + 1))
+        assert abs(expected_online_error(policy, theta, n, budget) - exact_batch) <= 1e-15
 
     def test_closed_form_value_is_optimal_at_long_horizon(self):
         theta = Categorical((0.37, 0.63))
