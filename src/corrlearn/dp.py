@@ -22,10 +22,10 @@ from .mdp import (
     state_count_bound,
 )
 
-# A solve's peak RSS grows by 268-300 bytes per unit of ``state_count_bound``
+# A solve's peak RSS grows by 146-153 bytes per unit of ``state_count_bound``
 # (measured at (k, n, budget) = (3, 25, 2), (3, 40, 3), (3, 60, 3) and
 # (4, 15, 2) as the process's VmHWM growth over the solve, Python 3.11), so
-# 5M units at up to ~400 bytes each keeps a solve at the ceiling near 2 GB.
+# a solve at the 5M-unit ceiling peaks near 0.8 GB, well inside 2 GB.
 DEFAULT_STATE_CEILING = 5_000_000
 
 
@@ -106,12 +106,13 @@ def solve(spec: MdpSpec, budgets: Iterable[int]) -> Policy:
     for stage in range(spec.n, 0, -1):
         stage_actions: dict[TeacherState, Action] = {}
         behind: dict[tuple[tuple[int, ...], int], float] = {}
+        shared: dict[tuple[int, ...], tuple[int, ...]] = {}  # one tuple per count vector
         for counts, budget in pairs.pop():
             # W is added up left to right in outcome order, not with the
             # builtin ``sum``: that is compensated from Python 3.12, which
             # would make values, and so near-tie decisions, version-dependent.
             total = 0.0
-            for state, p in arrivals(counts, budget, spec):
+            for state, p in arrivals(counts, budget, spec, shared):
                 best = float("-inf")
                 best_action: Action | None = None
                 for action in feasible_actions(state, spec.k):

@@ -21,7 +21,7 @@ class BudgetExhaustedError(ValueError):
     """A change action was attempted with no budget left."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TeacherState:
     counts: tuple[int, ...]
     budget: int
@@ -40,7 +40,7 @@ class TeacherState:
         return sum(self.counts)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Action:
     """Re-label the current observation to ``target``; target == current
     observation means keep (and never costs budget)."""
@@ -105,15 +105,20 @@ def feasible_actions(state: TeacherState, k: int) -> list[Action]:
 
 
 def arrivals(
-    counts: tuple[int, ...], budget: int, spec: MdpSpec
+    counts: tuple[int, ...], budget: int, spec: MdpSpec, shared: dict | None = None
 ) -> list[tuple[TeacherState, float]]:
     """States after the next observation is tallied onto the decided
-    ``counts``, in outcome order; zero-probability outcomes are pruned."""
+    ``counts``, in outcome order; zero-probability outcomes are pruned.
+    A ``shared`` dict maps each arrived count tuple to its first copy,
+    which the states then hold (``dp.solve`` keeps one dict per stage)."""
     out = []
     for v, p in enumerate(spec.model.probs):
         if p <= 0.0:
             continue
-        nxt = list(counts)
-        nxt[v] += 1
-        out.append((TeacherState(tuple(nxt), budget, v), p))
+        arrived = list(counts)
+        arrived[v] += 1
+        nxt = tuple(arrived)
+        if shared is not None:
+            nxt = shared.setdefault(nxt, nxt)
+        out.append((TeacherState(nxt, budget, v), p))
     return out

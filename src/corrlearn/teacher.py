@@ -4,7 +4,7 @@ A replay feeds the policy states built from CORRECTED counts: the student
 only ever sees what the teacher lets through, so the sufficient statistic
 tracks the altered stream, with the current raw observation tallied on
 top. Streams are the rows of a (trials x n) int array; ``replays`` is the
-one path from a source model to corrected streams.
+one path from a source model to corrected counts.
 
 A replay keeps no per-trial counts: each trial holds the index of its
 post-decision (counts, budget left) pair among that stage's distinct
@@ -64,23 +64,24 @@ def replay_all(
     """Replay the rows of ``streams`` (trials x n) stage by stage, asking
     ``policy`` once per distinct (counts, remaining, observation) state
     among them and applying its decisions to every trial at once, with
-    ``apply_action``'s checks. Returns the corrected streams, the final
-    counts (trials x k) and the budget each trial spent."""
-    corrected, (pairs, pair) = _replay(streams, k, policy, budget)
+    ``apply_action``'s checks. Returns the corrected streams, which only
+    this path builds, the final counts (trials x k) and each trial's spend."""
+    corrected = np.empty_like(streams)
+    pairs, pair = _replay(streams, k, policy, budget, corrected)
     final = pairs[pair]
     return corrected, final[:, :k], budget - final[:, k]
 
 
 def _replay(
-    streams: np.ndarray, k: int, policy: TeacherPolicy, budget: int
-) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
-    """``replay_all``'s corrected streams, and the final (counts..., budget
-    left) rows as ``distinct_rows`` gives them."""
+    streams: np.ndarray, k: int, policy: TeacherPolicy, budget: int,
+    corrected: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The final (counts..., budget left) rows as ``distinct_rows`` gives
+    them; the corrected streams go into ``corrected`` only if one is given."""
     trials, n = streams.shape
     _check_policy(policy, k, n, budget)
     if streams.size and not 0 <= streams.min() <= streams.max() < k:
         raise ValueError(f"stream values must lie in [0, {k})")
-    corrected = np.empty_like(streams)
     # distinct post-decision rows (counts..., remaining) and each trial's row
     pairs = np.array([[0] * k + [budget]], dtype=np.int64)
     pair = np.zeros(trials, dtype=np.int64)
@@ -109,9 +110,10 @@ def _replay(
         states[every, targets] += 1
         states[:, k] -= changed
         pairs, after = distinct_rows(states)
-        corrected[:, t] = targets[which]
+        if corrected is not None:
+            corrected[:, t] = targets[which]
         pair = after[which]
-    return corrected, (pairs, pair)
+    return pairs, pair
 
 
 def replays(
@@ -123,7 +125,8 @@ def replays(
     """Yield ``(budget, counts, budget_spent)`` per budget, in the order
     given, for the rows of ``streams`` (trials x n): the final corrected
     counts (trials x k) as ``distinct_rows`` gives them, and the budget
-    spent per trial. One solve, started from every budget, serves them all.
+    spent per trial, building no corrected stream. One solve, started from
+    every budget, serves them all.
     """
     if len(streams) == 0:
         raise ValueError("no streams to replay")
@@ -131,7 +134,7 @@ def replays(
     policy = solve(MdpSpec(n=streams.shape[1], model=model, reward=reward), budgets)
     k = model.k
     for budget in budgets:
-        _, (pairs, pair) = _replay(streams, k, policy, budget)
+        pairs, pair = _replay(streams, k, policy, budget)
         # final pairs that differ only in budget left share their counts
         counts, which = distinct_rows(pairs[:, :k])
         yield budget, (counts, which[pair]), budget - pairs[pair, k]

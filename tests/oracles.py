@@ -8,6 +8,8 @@ answers to check the package's production paths against.
 - ``expected_online_error``: exact forward evaluation of any policy.
 - ``project_sum``: the scalar projection that ``bounds.monte_carlo_report``
   vectorises.
+- ``traced_memory``: the bytes a call leaves allocated and its peak,
+  under ``tracemalloc``, for the memory tests.
 
 ``BinomialThresholdPolicy`` attains the optimal expected error (the tests
 check it to 1e-12 for n <= 30 and at n = 200) but not all the optimal
@@ -22,7 +24,9 @@ and 2), so it is not in the package.
 from __future__ import annotations
 
 import math
+import tracemalloc
 from dataclasses import dataclass
+from typing import Any, Callable
 
 from corrlearn.core import Categorical, CeilingExceededError, CountVector
 from corrlearn.mdp import (
@@ -134,3 +138,21 @@ def project_sum(y: int, target: float, budget: int, upper: int | None = None) ->
     # The optimum is floor(target) or ceil(target) clipped into the window.
     cands = {min(max(math.floor(target), lo), hi), min(max(math.ceil(target), lo), hi)}
     return min(cands, key=lambda z: (abs(z - target), z))
+
+
+def traced_memory(call: Callable[[], Any], warm_up: Callable[[], Any]) -> tuple[int, int]:
+    """``(retained, peak)`` bytes of ``call()`` under ``tracemalloc``: what
+    it leaves allocated, its result included, and the most it held at once.
+
+    ``warm_up()`` runs first, untraced, so one-off set-up (imports, caches,
+    interned constants) is not charged to the call.
+    """
+    warm_up()
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        result = call()  # held, so what it keeps counts as retained
+        current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return current - before, peak

@@ -1,6 +1,6 @@
+import functools
 import math
 import random
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,7 +23,7 @@ from corrlearn.bounds import (
 )
 from corrlearn.core import spawn
 from corrlearn.dp import CeilingExceededError
-from oracles import project_sum
+from oracles import project_sum, traced_memory
 
 
 def brute_project(y, target, budget, upper=None):
@@ -189,13 +189,8 @@ class TestMonteCarloReport:
     def test_traced_memory_does_not_grow_with_n(self):
         # a whole (trials, n) draw matrix would take 8n = 200 bytes a trial
         trials = 200_000
-        monte_carlo_report(25, 4, 3, MIN_TRIALS, 7)  # first-call set-up
-        tracemalloc.start()
-        try:
-            monte_carlo_report(25, 4, 3, trials, 7)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        _, peak = traced_memory(lambda: monte_carlo_report(25, 4, 3, trials, 7),
+                                lambda: monte_carlo_report(25, 4, 3, MIN_TRIALS, 7))
         assert peak < 64 * trials
 
 
@@ -272,13 +267,8 @@ class TestBlockedKernel:
 
     def test_block_memory_does_not_grow_with_n(self):
         # one block of all 1000 rows at n = 5000 would take 40 MB
-        monte_carlo_report(5_000, 1, 0, MIN_TRIALS, 3)  # first-call set-up
-        tracemalloc.start()
-        try:
-            monte_carlo_report(5_000, 1, 0, MIN_TRIALS, 3)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        report = functools.partial(monte_carlo_report, 5_000, 1, 0, MIN_TRIALS, 3)
+        _, peak = traced_memory(report, report)
         assert peak < 4_000_000
 
 

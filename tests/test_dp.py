@@ -1,6 +1,5 @@
 import itertools
 import math
-import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -20,7 +19,7 @@ from corrlearn.mdp import (
     l1_terminal_reward,
 )
 from corrlearn.likelihood import bio_terminal_reward, default_candidates
-from oracles import brute_force_value
+from oracles import brute_force_value, traced_memory
 from test_mdp import reachable_states
 
 
@@ -216,18 +215,24 @@ class TestPolicyAndTable:
 
     def test_policy_memory_holds_no_per_state_values(self):
         # the (4, 15, 2) policy retained 11.5 MiB while it kept a value per
-        # state beside each action, and 10.0 MiB with the actions alone
+        # state beside each action, 10.0 MiB with the actions alone, and
+        # 5.1 MiB once states and actions carry no __dict__ and the states
+        # of a stage share one counts tuple per count vector
         theta = Categorical((0.4, 0.3, 0.2, 0.1))
-        solve(spec_for(theta, 2), (1,))  # first-call set-up
-        tracemalloc.start()
-        try:
-            before, _ = tracemalloc.get_traced_memory()
-            policy = solve(spec_for(theta, 15), (2,))
-            retained = tracemalloc.get_traced_memory()[0] - before
-        finally:
-            tracemalloc.stop()
-        assert len(policy.stages) == 15
-        assert retained <= 10.5 * 2**20
+        retained, _ = traced_memory(lambda: solve(spec_for(theta, 15), (2,)),
+                                    lambda: solve(spec_for(theta, 2), (1,)))
+        assert retained <= 6.5 * 2**20
+
+    def test_states_of_a_stage_share_one_counts_tuple_per_vector(self):
+        policy = solve(spec_for(Categorical((0.4, 0.3, 0.3)), 25), (2,))
+        chosen = [(state, action) for stage in policy.stages.values()
+                  for state, action in stage.items()]
+        assert len(chosen) == 26_310
+        # every count vector with 1 <= sum <= 25, C(28, 3) - 1, held once
+        assert len({state.counts for state, _ in chosen}) == 3_275
+        assert len({id(state.counts) for state, _ in chosen}) == 3_275
+        assert not any(hasattr(state, "__dict__") or hasattr(action, "__dict__")
+                       for state, action in chosen)
 
     def test_solve_ceiling_names_the_bound(self, monkeypatch):
         # k=3, budget 1: n=169 is the first horizon whose state bound passes

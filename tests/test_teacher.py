@@ -30,7 +30,7 @@ from corrlearn.teacher import (
     replay_all,
     replays,
 )
-from oracles import BinomialThresholdPolicy, expected_online_error
+from oracles import BinomialThresholdPolicy, expected_online_error, traced_memory
 
 
 def spec_for(theta, n):
@@ -491,6 +491,18 @@ class TestReplays:
             streams, theta, l1_terminal_reward(theta), (2, 0, 2))]
         assert budgets == [2, 0, 2]
         assert calls == [((2, 0, 2), {})]
+
+    def test_builds_no_corrected_streams(self):
+        # the (trials x n) corrected streams take 8 B a draw, 15.3 MiB here:
+        # the replay peaked at 21.7 MiB while it built them, 6.3 MiB without
+        theta = Categorical((0.4, 0.3, 0.3))
+        streams = np.random.default_rng(3).integers(0, 3, size=(200_000, 10))
+
+        def replayed(rows):
+            return list(replays(rows, theta, l1_terminal_reward(theta), (1,)))
+
+        _, peak = traced_memory(lambda: replayed(streams), lambda: replayed(streams[:100]))
+        assert peak <= 10 * 2**20
 
     def test_no_sequences_rejected(self):
         theta = Categorical((0.5, 0.5))
