@@ -1,9 +1,12 @@
 """CLI stdout, byte for byte, against the files in ``tests/golden/``.
 
 The files pin the output of all five experiments at small seeded configs
-and the ``solve`` policy dump over a grid of specs. Regenerate them with
-``PYTHONPATH=src python tests/test_golden.py`` only for an intended change
-of output, and say so in the change's description.
+and the ``solve`` policy dump over a grid of specs.
+``PYTHONPATH=src python tests/test_golden.py`` writes the file of each case
+that has none yet and leaves every existing file as it is, so pin a new
+case before the code it guards changes. To re-pin a case after an
+intended change of output, delete its file first, and say so in the
+change's description.
 """
 
 import contextlib
@@ -49,6 +52,15 @@ EXPERIMENTS = {
     "bounds_huge_m": [
         "bounds", "--seed", "1", "--trials", "1000", "--n-values", "2,3",
         "--m-values", "4294967295,4294967296", "--budgets", "0,1",
+    ],
+    # budgets repeated and out of order: each is yielded in the order given
+    "multinomial_budget_order": [
+        "multinomial", "--seed", "7", "--trials", "15", "--n-values", "8",
+        "--budgets", "2,0,2",
+    ],
+    "variance_budget_order": [
+        "variance", "--seed", "7", "--trials", "40", "--n-values", "4,7",
+        "--budgets", "2,0,1",
     ],
     "bio_small": [
         "bio", "--seed", "7", "--n-values", "4,6", "--budgets", "0,1,2",
@@ -179,4 +191,7 @@ def test_solve_goldens_under_other_pythons(tmp_path):
 if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
     for name, argv in CASES.items():
-        (GOLDEN / f"{name}.txt").write_bytes(cli_stdout(argv).encode())
+        path = GOLDEN / f"{name}.txt"
+        if not path.exists():
+            path.write_bytes(cli_stdout(argv).encode())
+            print(f"wrote {path}")
