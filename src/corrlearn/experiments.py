@@ -51,6 +51,8 @@ Row = dict[str, Any]  # one output row: column name -> value, in column order
 # (largest n + 8 * (1 + rows per trial)), a trial's seed and each row it emits
 # costing about 8 draws (VmHWM growth at 20k-100k trials, n in {1, 5, 10, 25,
 # 50}, 1-4 budgets, Python 3.11). So 25M units at up to ~80 bytes stay near 2 GB.
+# The lockstep replay's index arrays, ~40 B per (trial, budget), fit that row
+# charge: multinomial at 100k trials, n=50, budgets 0-3 still grew 291 MiB.
 MAX_DRAWS = 25_000_000
 
 
@@ -258,7 +260,8 @@ def _run_correction_records(config: ExperimentConfig, with_attainable: bool) -> 
     _check_draws(config, rows_per_trial=len(config.budgets))
     check_state_bound(theta0.k, n, max(config.budgets))
     streams = sample_sequence(theta0, n, spawn(config.seed, [(t,) for t in range(config.trials)]))
-    originals = distinct_rows((streams[:, :, None] == np.arange(theta0.k)).sum(axis=1))
+    originals = distinct_rows(np.column_stack(
+        [np.count_nonzero(streams == v, axis=1) for v in range(theta0.k)]))
 
     def error(counts: CountVector) -> float:
         return l1_error(empirical_estimate(counts), theta0)

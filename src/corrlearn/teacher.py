@@ -6,12 +6,11 @@ tracks the altered stream, with the current raw observation tallied on
 top. Streams are the rows of a (trials x n) int array; ``replays`` is the
 one path from a source model to corrected counts.
 
-A replay keeps no per-trial counts: each trial holds the index of its
-post-decision (counts, budget left) pair among that stage's distinct
-pairs, so every step's array work is a few 1-D passes over the trials and
-row work over the distinct pairs only. ``replays`` hands over the final
-counts the same way, as ``distinct_rows`` gives them, so no caller sorts
-the trials.
+A replay steps every (start budget, trial) in lockstep, each holding only
+the index of its post-decision (counts, budget left) pair among the
+stage's distinct pairs: the policy is asked once per distinct state,
+whatever the budget, and ``replays`` hands each budget's final counts over
+as ``distinct_rows`` gives them, so no caller sorts the trials.
 """
 
 from __future__ import annotations
@@ -22,13 +21,7 @@ import numpy as np
 
 from .core import Categorical, CountVector
 from .dp import solve
-from .mdp import (
-    Action,
-    BudgetExhaustedError,
-    MdpSpec,
-    TeacherState,
-    TerminalReward,
-)
+from .mdp import Action, BudgetExhaustedError, MdpSpec, TeacherState, TerminalReward
 
 
 class TeacherPolicy(Protocol):
@@ -67,29 +60,30 @@ def replay_all(
     ``apply_action``'s checks. Returns the corrected streams, which only
     this path builds, the final counts (trials x k) and each trial's spend."""
     corrected = np.empty_like(streams)
-    pairs, pair = _replay(streams, k, policy, budget, corrected)
-    final = pairs[pair]
+    pairs, pair = _replay(streams, k, policy, (budget,), corrected)
+    final = pairs[pair[0]]
     return corrected, final[:, :k], budget - final[:, k]
 
 
 def _replay(
-    streams: np.ndarray, k: int, policy: TeacherPolicy, budget: int,
+    streams: np.ndarray, k: int, policy: TeacherPolicy, budgets: tuple[int, ...],
     corrected: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The final (counts..., budget left) rows as ``distinct_rows`` gives
-    them; the corrected streams go into ``corrected`` only if one is given."""
+    """The final (counts..., budget left) rows of the distinct start ``budgets``
+    as ``distinct_rows`` gives them, and each (budget, trial)'s row (budgets x
+    trials); the first budget's corrected streams go into ``corrected`` if given."""
     trials, n = streams.shape
-    _check_policy(policy, k, n, budget)
+    for budget in budgets:
+        _check_policy(policy, k, n, budget)
     if streams.size and not 0 <= streams.min() <= streams.max() < k:
         raise ValueError(f"stream values must lie in [0, {k})")
-    # distinct post-decision rows (counts..., remaining) and each trial's row
-    pairs = np.array([[0] * k + [budget]], dtype=np.int64)
-    pair = np.zeros(trials, dtype=np.int64)
+    # distinct post-decision rows (counts..., remaining) and each (budget, trial)'s row
+    pairs = np.array([[0] * k + [budget] for budget in budgets], dtype=np.int64)
+    pair = np.repeat(np.arange(len(budgets))[:, None], trials, axis=1)
     for t in range(n):
-        observed = streams[:, t]
-        # the distinct (pair, observation) keys, below len(pairs) * k <= trials * k
-        key = pair * k + observed
-        present = np.bincount(key, minlength=len(pairs) * k) > 0
+        # the distinct (pair, observation) keys, below len(pairs) * k <= trials * |budgets| * k
+        key = pair * k + streams[None, :, t]
+        present = np.bincount(key.ravel(), minlength=len(pairs) * k) > 0
         keys = np.flatnonzero(present)
         which = (np.cumsum(present) - 1)[key]
         states = pairs[keys // k]
@@ -111,7 +105,7 @@ def _replay(
         states[:, k] -= changed
         pairs, after = distinct_rows(states)
         if corrected is not None:
-            corrected[:, t] = targets[which]
+            corrected[:, t] = targets[which[0]]
         pair = after[which]
     return pairs, pair
 
@@ -125,19 +119,21 @@ def replays(
     """Yield ``(budget, counts, budget_spent)`` per budget, in the order
     given, for the rows of ``streams`` (trials x n): the final corrected
     counts (trials x k) as ``distinct_rows`` gives them, and the budget
-    spent per trial, building no corrected stream. One solve, started from
-    every budget, serves them all.
-    """
+    spent per trial, building no corrected stream. One solve and one
+    replay, each started from every budget, serve them all."""
     if len(streams) == 0:
         raise ValueError("no streams to replay")
     budgets = tuple(budgets)
     policy = solve(MdpSpec(n=streams.shape[1], model=model, reward=reward), budgets)
-    k = model.k
+    distinct = tuple(dict.fromkeys(budgets))
+    pairs, pair = _replay(streams, model.k, policy, distinct)
+    # final pairs that differ only in budget left share their counts
+    counts, which = distinct_rows(pairs[:, :model.k])
     for budget in budgets:
-        pairs, pair = _replay(streams, k, policy, budget)
-        # final pairs that differ only in budget left share their counts
-        counts, which = distinct_rows(pairs[:, :k])
-        yield budget, (counts, which[pair]), budget - pairs[pair, k]
+        final = pair[distinct.index(budget)]
+        present = np.bincount(which[final], minlength=len(counts)) > 0
+        row = (np.cumsum(present) - 1)[which][final]
+        yield budget, (counts[present], row), budget - pairs[final, model.k]
 
 
 def per_distinct_counts(f: Callable[[CountVector], Any],

@@ -4,7 +4,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from corrlearn import teacher
@@ -459,16 +459,25 @@ class TestReplayAll:
 
 
 class TestReplays:
-    @pytest.mark.parametrize("budgets", [(0, 2, 1), (1, 1)])
-    def test_matches_per_budget_solve_and_per_stream_replay(self, budgets):
-        theta = Categorical((0.4, 0.3, 0.3))
-        streams = sample_sequence(theta, 5, spawn(77, [(t,) for t in range(10)]))
+    @settings(max_examples=30, deadline=None)
+    @given(
+        probs=st.sampled_from([(0.5, 0.5), (1.0, 0.0), (0.4, 0.3, 0.3), (0.5, 0.5, 0.0),
+                               (0.1, 0.2, 0.3, 0.4), (0.4, 0.0, 0.3, 0.3)]),
+        n=st.integers(1, 6),
+        budgets=st.lists(st.integers(0, 3), min_size=1, max_size=4),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(probs=(0.4, 0.3, 0.3), n=5, budgets=[0, 2, 1], seed=77)
+    @example(probs=(0.4, 0.3, 0.3), n=5, budgets=[1, 1], seed=77)
+    def test_matches_per_budget_solve_and_per_stream_replay(self, probs, n, budgets, seed):
+        theta = Categorical(probs)
+        streams = sample_sequence(theta, n, spawn(seed, [(t,) for t in range(10)]))
         seen = []
         for budget, counts, spent in replays(
             streams, theta, l1_terminal_reward(theta), budgets
         ):
-            policy, _ = solved_policy(theta, 5, budget)
-            oracle = [stream_replay(row, 3, policy, budget) for row in streams.tolist()]
+            policy, _ = solved_policy(theta, n, budget)
+            oracle = [stream_replay(row, theta.k, policy, budget) for row in streams.tolist()]
             rows, which = counts
             assert [tuple(row) for row in rows[which].tolist()] == [c for _, c, _ in oracle]
             # each distinct final count vector once, in sorted order
@@ -476,6 +485,28 @@ class TestReplays:
             assert spent.tolist() == [b for _, _, b in oracle]
             seen.append(budget)
         assert seen == list(budgets)
+
+    def test_asks_the_policy_once_per_distinct_state_across_budgets(self, monkeypatch):
+        # a budget-2 trial that has spent one unit is in a budget-1 trial's state
+        asked = []
+
+        class Recording:
+            def __init__(self, policy):
+                self.policy = policy
+
+            def __getattr__(self, name):
+                return getattr(self.policy, name)
+
+            def action_for(self, state):
+                asked.append(state)
+                return self.policy.action_for(state)
+
+        monkeypatch.setattr(teacher, "solve", lambda *args: Recording(solve(*args)))
+        theta = Categorical((0.4, 0.3, 0.3))
+        streams = sample_sequence(theta, 6, spawn(11, [(t,) for t in range(50)]))
+        list(replays(streams, theta, l1_terminal_reward(theta), (0, 1, 2)))
+        assert {state.budget for state in asked} == {0, 1, 2}
+        assert len(asked) == len(set(asked))
 
     def test_one_solve_serves_every_budget(self, monkeypatch):
         calls = []
