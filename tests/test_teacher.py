@@ -4,7 +4,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from corrlearn import teacher
@@ -459,6 +459,10 @@ class TestReplayAll:
 
 
 class TestReplays:
+    @pytest.mark.parametrize("budgets", [(0, 2, 1), (1, 1)])
+    def test_matches_per_budget_solve_and_per_stream_replay(self, budgets):
+        self.check_matches_per_budget_solve(Categorical((0.4, 0.3, 0.3)), 5, budgets, 77)
+
     @settings(max_examples=30, deadline=None)
     @given(
         probs=st.sampled_from([(0.5, 0.5), (1.0, 0.0), (0.4, 0.3, 0.3), (0.5, 0.5, 0.0),
@@ -467,10 +471,11 @@ class TestReplays:
         budgets=st.lists(st.integers(0, 3), min_size=1, max_size=4),
         seed=st.integers(0, 2**32 - 1),
     )
-    @example(probs=(0.4, 0.3, 0.3), n=5, budgets=[0, 2, 1], seed=77)
-    @example(probs=(0.4, 0.3, 0.3), n=5, budgets=[1, 1], seed=77)
-    def test_matches_per_budget_solve_and_per_stream_replay(self, probs, n, budgets, seed):
-        theta = Categorical(probs)
+    def test_matches_per_budget_solve_on_any_alphabet_and_budgets(self, probs, n, budgets, seed):
+        self.check_matches_per_budget_solve(Categorical(probs), n, budgets, seed)
+
+    @staticmethod
+    def check_matches_per_budget_solve(theta, n, budgets, seed):
         streams = sample_sequence(theta, n, spawn(seed, [(t,) for t in range(10)]))
         seen = []
         for budget, counts, spent in replays(
