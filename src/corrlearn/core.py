@@ -8,8 +8,9 @@ takes an explicit seed per stream, so there is no shared generator state
 to protect. Seeds are plain integers in [0, 2**64); ``spawn`` derives
 child seeds as a uint64 array. A stream is a row of an int array of outcome
 indices. Its uniforms are numpy's ``SeedSequence -> PCG64 ->
-Generator.random`` stream for its seed, rebuilt bit for bit for every seed
-in one vectorised pass.
+Generator.random`` stream for its seed, rebuilt bit for bit: stepped once
+per column, vectorised over the seeds, at ~25 us a column (one seed x
+100,000 draws takes ~2.5 s).
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -68,7 +69,7 @@ class CountVector:
     counts: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        counts = tuple(int(c) for c in self.counts)
+        counts = tuple(map(operator.index, self.counts))
         object.__setattr__(self, "counts", counts)
         if any(c < 0 for c in counts):
             raise ValueError("counts must be nonnegative")
@@ -176,28 +177,23 @@ def _add128(a_hi, a_lo, b_hi, b_lo):
     return a_hi + b_hi + (lo < a_lo), lo
 
 
-def _uniforms(values: np.ndarray, n: int) -> np.ndarray:
-    """Row i is ``np.random.default_rng(values[i]).random(n)``, computed
-    without a generator: t PCG64 steps take a state x to M**t * x + G_t *
-    inc, with G_t = sum(M**j for j < t) mod 2**128."""
-    seed_hi, seed_lo, inc_hi, inc_lo = _seed_words(values[:, None], 4).T[:, :, None]
+def _uniforms(values: np.ndarray, n: int) -> Iterator[np.ndarray]:
+    """Yield column t of ``np.random.default_rng(v).random(n)`` for every
+    value v, stepping each row's PCG64 state x to M * x + inc once per column."""
+    seed_hi, seed_lo, inc_hi, inc_lo = _seed_words(values[:, None], 4).T
     inc_hi, inc_lo = (inc_hi << 1) | (inc_lo >> 63), (inc_lo << 1) | 1  # 2 * stream + 1
+    mult = np.uint64(_PCG_MULT >> 64), np.uint64(_PCG_MULT & 2**64 - 1)
 
-    def jump(power: int, total: int, hi: np.ndarray, lo: np.ndarray):
-        (p_hi, p_lo), (t_hi, t_lo) = (
-            np.array([[c >> 64], [c & 2**64 - 1]], np.uint64) for c in (power, total))
-        return _add128(*_mul128(p_hi, p_lo, hi, lo), *_mul128(t_hi, t_lo, inc_hi, inc_lo))
+    def step(hi: np.ndarray, lo: np.ndarray):
+        return _add128(*_mul128(*mult, hi, lo), inc_hi, inc_lo)
 
-    # Seeding is one step from seed + inc; the first draw reads the next state.
-    power, total = _PCG_MULT, 1
-    hi, lo = jump(power**2 % 2**128, 1 + power, *_add128(seed_hi, seed_lo, inc_hi, inc_lo))
-    while hi.shape[1] < n:  # the m states so far, jumped m steps on, are the next m
-        ahead = jump(power, total, hi[:, :n - hi.shape[1]], lo[:, :n - hi.shape[1]])
-        hi, lo = np.hstack((hi, ahead[0])), np.hstack((lo, ahead[1]))
-        power, total = power**2 % 2**128, total * (1 + power) % 2**128
-    out, rot = hi ^ lo, hi >> 58  # XSL-RR output
-    out = (out >> rot) | (out << ((np.uint64(64) - rot) & np.uint64(63)))
-    return (out >> 11) * (1.0 / 2**53)
+    # Seeding is one step from seed + inc; each draw steps once and reads the state.
+    hi, lo = step(*_add128(seed_hi, seed_lo, inc_hi, inc_lo))
+    for _ in range(n):
+        hi, lo = step(hi, lo)
+        out, rot = hi ^ lo, hi >> 58  # XSL-RR output
+        out = (out >> rot) | (out << ((np.uint64(64) - rot) & np.uint64(63)))
+        yield (out >> 11) * (1.0 / 2**53)
 
 
 def sample_sequence(dist: Categorical, n: int, seeds: np.ndarray) -> np.ndarray:
@@ -211,8 +207,11 @@ def sample_sequence(dist: Categorical, n: int, seeds: np.ndarray) -> np.ndarray:
     """
     if n < 1:
         raise ValueError("need at least one draw")
-    u = _uniforms(np.asarray(seeds, dtype=np.uint64), n)
-    idx = np.searchsorted(np.cumsum(dist.probs), u, side="right")
+    seeds = np.asarray(seeds, dtype=np.uint64)
+    cdf = np.cumsum(dist.probs)
+    streams = np.empty((len(seeds), n), dtype=np.intp)
+    for t, u in enumerate(_uniforms(seeds, n)):
+        streams[:, t] = np.searchsorted(cdf, u, side="right")
     # The cumulative sum can undershoot 1.0 by an ulp; clamp the
     # (measure-zero) overflow.
-    return np.minimum(idx, dist.k - 1)
+    return np.minimum(streams, dist.k - 1, out=streams)

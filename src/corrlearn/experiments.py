@@ -47,12 +47,12 @@ from .teacher import distinct_rows, per_distinct_counts, replays
 
 Row = dict[str, Any]  # one output row: column name -> value, in column order
 
-# A sampled run's peak RSS grows by 37-68 bytes per draw unit: trials *
+# A sampled run's peak RSS grows by 16-53 bytes per draw unit: trials *
 # (largest n + 8 * (1 + rows per trial)), a trial's seed and each row it emits
-# costing about 8 draws (VmHWM growth at 20k-100k trials, n in {1, 5, 10, 25,
-# 50}, 1-4 budgets, Python 3.11). So 25M units at up to ~80 bytes stay near 2 GB.
+# costing about 8 draws (VmHWM growth of multinomial at 20k-100k trials, n in
+# {1, 5, 10, 25, 50}, 1 or 4 budgets, Python 3.11). So 25M units stay near 1.3 GB.
 # The lockstep replay's index arrays, ~40 B per (trial, budget), fit that row
-# charge: multinomial at 100k trials, n=50, budgets 0-3 still grew 291 MiB.
+# charge: multinomial at 100k trials, n=50, budgets 0-3 grew 217 MiB.
 MAX_DRAWS = 25_000_000
 
 
@@ -184,8 +184,8 @@ class ExperimentConfig:
     @classmethod
     def from_file(cls, path: str | Path, **overrides: Any) -> "ExperimentConfig":
         try:
-            data = json.loads(Path(path).read_text())
-        except (OSError, json.JSONDecodeError) as exc:
+            data = json.loads(Path(path).read_text(encoding="utf-8"))
+        except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
         if not isinstance(data, dict):
             raise ConfigError(f"config {path} must hold a JSON object")

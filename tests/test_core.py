@@ -15,6 +15,7 @@ from corrlearn.core import (
     sample_sequence,
     spawn,
 )
+from oracles import traced_memory
 
 
 class TestCategorical:
@@ -139,6 +140,15 @@ class TestSampleSequence:
         streams = sample_sequence(Categorical((0.5, 0.5)), 3, [])
         assert streams.shape == (0, 3)
 
+    def test_peak_memory_per_draw(self):
+        # One column of PCG64 states is live at a time beside the 8 B per
+        # draw of the result, so the peak stays below 16 B per draw.
+        theta = Categorical((0.4, 0.3, 0.3))
+        seeds = spawn(7, [(t,) for t in range(20_000)])
+        _, peak = traced_memory(lambda: sample_sequence(theta, 100, seeds),
+                                lambda: sample_sequence(theta, 100, seeds[:100]))
+        assert peak <= 16 * 20_000 * 100
+
 
 class TestCountsFromSequence:
     """The per-row tally of sampled streams, as the experiments take it."""
@@ -219,18 +229,19 @@ class TestStreamKernel:
 
     @pytest.mark.parametrize("n", [1, 5, 40])
     def test_uniforms_at_edge_seeds(self, n):
-        uniforms = core._uniforms(np.array(EDGE_SEEDS, dtype=np.uint64), n)
+        uniforms = np.column_stack(list(core._uniforms(np.array(EDGE_SEEDS, dtype=np.uint64), n)))
         assert np.array_equal(uniforms, [numpy_uniforms(v, n) for v in EDGE_SEEDS])
 
     @settings(max_examples=100, deadline=None)
-    @given(values=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=5),
-           n=st.sampled_from([1, 5, 40]))
+    @given(values=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=64),
+           n=st.integers(1, 300))
     def test_uniforms_match_pcg64(self, values, n):
-        uniforms = core._uniforms(np.array(values, dtype=np.uint64), n)
+        uniforms = np.column_stack(list(core._uniforms(np.array(values, dtype=np.uint64), n)))
         assert np.array_equal(uniforms, [numpy_uniforms(v, n) for v in values])
 
     def test_long_row(self):
-        (row,) = core._uniforms(np.array([2**64 - 1], dtype=np.uint64), 100_000)
+        values = np.array([2**64 - 1], dtype=np.uint64)
+        (row,) = np.column_stack(list(core._uniforms(values, 100_000)))
         assert np.array_equal(row, numpy_uniforms(2**64 - 1, 100_000))
 
     def test_no_per_seed_generator(self, monkeypatch):
@@ -268,4 +279,10 @@ class TestCountVector:
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             CountVector((-1, 2))
+
+    def test_rejects_non_integer_counts(self):
+        for counts in ((1.5, 2), ("3", 1)):
+            with pytest.raises(TypeError):
+                CountVector(counts)
+        assert CountVector((np.int64(3), np.uintp(1))).counts == (3, 1)
 

@@ -595,6 +595,10 @@ FAULTS = {
     ("bio --seed 1 --trials 0", None, 2, "error: trials must be positive\n"),
     ("bio --seed 1 --candidates {models}", None, 2,
      "error: candidate file {models}: must hold a JSON object, got list\n"),
+    ("bio --seed 1 --candidates {garbled}", None, 2,
+     "error: candidate file {garbled}: 'utf-8' codec can't decode byte 0xff"),
+    ("variance --seed 1 --config {garbled}", None, 2,
+     "error: cannot read config {garbled}: 'utf-8' codec can't decode byte 0xff"),
     ("solve --n 100 --budget 1 --theta0 0.2,0.2,0.2,0.2,0.2", None, 3, "exceeds the ceiling"),
     ("solve --n 1000000000000 --budget 0 --theta0 0.5,0.5", None, 3, "exceeds the ceiling"),
     ("bounds --seed 1 --trials 1000 --n-values 1099511627776 --m-values 1 --budgets 0", None, 3,
@@ -605,13 +609,16 @@ FAULTS = {
      "internal error: AssertionError: projection moved a sum beyond the budget\n"),
 ], ids=["solve-n-0", "solve-theta0-sum", "solve-negative-budget", "bounds-budget-above-nm",
         "bounds-too-few-trials", "seed-out-of-range", "bio-no-trials", "malformed-candidates",
+        "candidates-not-utf8", "config-not-utf8",
         "solve-state-ceiling", "solve-huge-n", "bounds-huge-n", "internal-value-error",
         "internal-assertion"])
 def test_process_exit_codes(tmp_path, argv, fault, code, message):
     """Exit 2 for bad input, 3 for a ceiling and 4 for a bug, as a process."""
     models = tmp_path / "models.json"
     models.write_text("[1, 2]")
-    argv = argv.format(models=models).split()
+    garbled = tmp_path / "garbled.json"
+    garbled.write_bytes(b"\xff\xfe\x00bad")
+    argv = argv.format(models=models, garbled=garbled).split()
     if fault is None:
         command = [sys.executable, "-m", "corrlearn.cli", *argv]
     else:
@@ -620,4 +627,4 @@ def test_process_exit_codes(tmp_path, argv, fault, code, message):
         filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
     run = subprocess.run(command, capture_output=True, text=True, env=env, timeout=120)
     assert (run.returncode, run.stdout) == (code, "")
-    assert message.format(models=models) in run.stderr
+    assert message.format(models=models, garbled=garbled) in run.stderr
