@@ -57,14 +57,14 @@ class CandidateSet:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "CandidateSet":
-        return _parse_candidates(Path(path))
+        return _parse_candidates(Path(path).read_bytes(), str(path))
 
 
-def _parse_candidates(path: Path | resources.abc.Traversable) -> CandidateSet:
-    """Candidate set from the JSON file at ``path``; a ``ConfigError`` names
-    the file and, for an undecodable or wrongly shaped document, the fault."""
+def _parse_candidates(raw: bytes, source: str) -> CandidateSet:
+    """Candidate set from the UTF-8 JSON bytes of ``source``; a ``ConfigError``
+    names the file and, for an undecodable or wrongly shaped document, the fault."""
     try:
-        data = json.loads(path.read_text(encoding="utf-8"))
+        data = json.loads(raw.decode("utf-8"))
         if not isinstance(data, dict):
             raise ValueError(f"must hold a JSON object, got {type(data).__name__}")
         if data.get("version") != CANDIDATE_FILE_VERSION:
@@ -81,13 +81,13 @@ def _parse_candidates(path: Path | resources.abc.Traversable) -> CandidateSet:
         return CandidateSet(tuple(
             CandidateModel(m["theta"], Categorical(tuple(m["probs"]))) for m in models
         ))
-    except ValueError as exc:  # a UnicodeDecodeError is a ValueError too
-        raise ConfigError(f"candidate file {path}: {exc}") from None
+    except ValueError as exc:
+        raise ConfigError(f"candidate file {source}: {exc}") from None
 
 
 def default_candidates() -> CandidateSet:
     path = resources.files("corrlearn").joinpath("data/candidates_default.json")
-    return _parse_candidates(path)
+    return _parse_candidates(path.read_bytes(), str(path))
 
 
 def negative_log_likelihood(counts: CountVector, model: CandidateModel) -> float:
