@@ -67,6 +67,11 @@ EXPERIMENTS = {
         "--trials", "20",
     ],
 }
+# the JSON path of every aggregate experiment, at its CSV case's argv
+EXPERIMENTS.update({
+    f"{name}_json": [*EXPERIMENTS[f"{name}_small"], "--format", "json"]
+    for name in ("variance", "bio", "bounds")
+})
 
 POLICY_THETAS = {2: "0.3,0.7", 3: "0.4,0.35,0.25", 4: "0.1,0.2,0.3,0.4"}
 POLICIES = {
