@@ -1,8 +1,9 @@
 """Seeded experiment runners and their machine-readable outputs.
 
 ``EXPERIMENTS`` holds each experiment's help line, runner and parameter
-defaults. A runner returns one dict per row, keyed by column in column
-order, so ``run_and_format`` serialises any experiment the same way.
+defaults. A runner returns one table, ``(columns, rows)``: the column names
+once, then one tuple per row, each column holding one type, so
+``run_and_format`` serialises any experiment the same way.
 Trial streams derive from (seed, structural indices) only, so repeat runs
 emit byte-identical output. CSV uses a fixed header, 12-significant-digit
 reals and LF line endings; JSON output carries the same rows as objects.
@@ -29,9 +30,10 @@ import json
 import os
 import pickle
 import threading
-from dataclasses import dataclass, fields
+from dataclasses import astuple, dataclass, fields
+from itertools import repeat
 from pathlib import Path
-from typing import Any, Callable, Iterable, NamedTuple, Sequence
+from typing import Any, Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -45,20 +47,20 @@ from .likelihood import CandidateSet, bio_terminal_reward, default_candidates, m
 from .mdp import l1_terminal_reward
 from .teacher import distinct_rows, per_distinct_counts, replays
 
-Row = dict[str, Any]  # one output row: column name -> value, in column order
+Table = tuple[tuple[str, ...], list[tuple]]  # (column names, one tuple per row)
 
-# A sampled run's peak RSS grows by 16-53 bytes per draw unit: trials *
+# A sampled run's peak RSS grows by 10-36 bytes per draw unit: trials *
 # (largest n + 8 * (1 + rows per trial)), a trial's seed and each row it emits
 # costing about 8 draws (VmHWM growth of multinomial at 20k-100k trials, n in
-# {1, 5, 10, 25, 50}, 1 or 4 budgets, Python 3.11). So 25M units stay near 1.3 GB.
+# {1, 5, 10, 25, 50}, 1 or 4 budgets, Python 3.11). So 25M units stay below 0.9 GB.
 # The lockstep replay's index arrays, ~40 B per (trial, budget), fit that row
-# charge: multinomial at 100k trials, n=50, budgets 0-3 grew 217 MiB.
+# charge: multinomial at 100k trials, n=50, budgets 0-3 grew 114 MiB.
 MAX_DRAWS = 25_000_000
 
 
 class Experiment(NamedTuple):
     help: str
-    run: Callable[["ExperimentConfig"], list[Row]]
+    run: Callable[["ExperimentConfig"], Table]
     defaults: dict[str, Any]  # each parameter the experiment reads -> its default
 
 
@@ -249,7 +251,7 @@ def _check_draws(config: ExperimentConfig, rows_per_trial: int = 0) -> None:
         )
 
 
-def _run_correction_records(config: ExperimentConfig, with_attainable: bool) -> list[Row]:
+def _run_correction_records(config: ExperimentConfig, with_attainable: bool) -> Table:
     theta0 = _theta(config)
     if len(config.n_values) != 1:
         raise ConfigError(
@@ -282,24 +284,24 @@ def _run_correction_records(config: ExperimentConfig, with_attainable: bool) -> 
         check_records(budget, error_original, online, error_batch)
         per_column = (error_original, online, *((attainable,) if with_attainable else ()),
                       error_batch, spent.tolist())
-        rows.extend(dict(zip(columns, (config.experiment, config.seed, trial, budget, *values)))
-                    for trial, values in enumerate(zip(*per_column)))
-    return rows
+        rows.extend(zip(repeat(config.experiment), repeat(config.seed), range(config.trials),
+                        repeat(budget), *per_column))
+    return columns, rows
 
 
-def run_multinomial(config: ExperimentConfig) -> list[Row]:
+def run_multinomial(config: ExperimentConfig) -> Table:
     """Per-trial original/online/batch errors for a single n."""
     return _run_correction_records(config, with_attainable=False)
 
 
-def run_binomial(config: ExperimentConfig) -> list[Row]:
+def run_binomial(config: ExperimentConfig) -> Table:
     """Two-value variant, with the closed-form attainable error alongside."""
     if _theta(config).k != 2:
         raise ConfigError("the binomial experiment needs a two-value theta0")
     return _run_correction_records(config, with_attainable=True)
 
 
-def run_variance_sweep(config: ExperimentConfig) -> list[Row]:
+def run_variance_sweep(config: ExperimentConfig) -> Table:
     """Sample variance of the corrected estimate per (n, budget) cell.
 
     ``var_first`` is the variance of the estimate's first coordinate (the
@@ -312,7 +314,7 @@ def run_variance_sweep(config: ExperimentConfig) -> list[Row]:
     _check_draws(config)
     reward = l1_terminal_reward(theta0)
 
-    def cells(n: int) -> list[Row]:
+    def cells(n: int) -> list[tuple]:
         seeds = spawn(config.seed, [(n, t) for t in range(config.trials)])
         streams = sample_sequence(theta0, n, seeds)
         rows = []
@@ -320,17 +322,14 @@ def run_variance_sweep(config: ExperimentConfig) -> list[Row]:
             estimates = np.array(
                 per_distinct_counts(lambda c: empirical_estimate(c).probs, counts))
             per_coord = estimates.var(axis=0, ddof=1)
-            rows.append({
-                "n": n, "budget": budget, "trials": config.trials,
-                "var_first": float(per_coord[0]),
-                "var_total": float(per_coord.sum()),
-            })
+            rows.append((n, budget, config.trials, float(per_coord[0]), float(per_coord.sum())))
         return rows
 
-    return [row for rows in _per_n(config, theta0.k, cells) for row in rows]
+    columns = ("n", "budget", "trials", "var_first", "var_total")
+    return columns, [row for rows in _per_n(config, theta0.k, cells) for row in rows]
 
 
-def run_bounds(config: ExperimentConfig) -> list[Row]:
+def run_bounds(config: ExperimentConfig) -> Table:
     """One Monte-Carlo bound report per (n, m, budget) grid point."""
     grid = [(n, m, budget)
             for n in config.n_values for m in config.m_values for budget in config.budgets]
@@ -342,15 +341,13 @@ def run_bounds(config: ExperimentConfig) -> list[Row]:
                        list(zip(grid, spawn(config.seed, grid).tolist())),
                        [n for n, _, _ in grid],
                        _shares(len(grid) * config.trials <= MAX_TRIALS))
-    return [{
-        "N": r.n, "M": r.m, "B": r.b, "trials": r.trials,
-        "bound_abs": r.bound_abs, "bound_ratio_paper": r.bound_ratio_paper,
-        "var_orig": r.empirical_var_original, "var_corr": r.empirical_var_corrected,
-        "ratio": r.empirical_ratio,
-    } for r in reports]
+    # BoundReport's fields, in order
+    columns = ("N", "M", "B", "trials", "bound_abs", "bound_ratio_paper", "var_orig",
+               "var_corr", "ratio")
+    return columns, [astuple(r) for r in reports]
 
 
-def run_bio(config: ExperimentConfig) -> list[Row]:
+def run_bio(config: ExperimentConfig) -> Table:
     """Share of trials per (n, budget) cell whose final counts ``ml_estimate``
     does not label ``theta0_label``. Streams are shared across budgets at each n."""
     candidates = (
@@ -364,19 +361,18 @@ def run_bio(config: ExperimentConfig) -> list[Row]:
     true_dist = candidates.by_label(label).action_dist
     reward = bio_terminal_reward(label, candidates)
 
-    def cells(n: int) -> list[Row]:
+    def cells(n: int) -> list[tuple]:
         (seed,) = spawn(config.seed, [(n,)]).tolist()
         streams = sample_sequence(true_dist, n, spawn(seed, [(t,) for t in range(config.trials)]))
         rows = []
         for budget, counts, _ in replays(streams, true_dist, reward, config.budgets):
             labels = per_distinct_counts(lambda c: ml_estimate(c, candidates), counts)
-            rows.append({
-                "n": n, "budget": budget, "trials": config.trials,
-                "misclassification_rate": sum(x != label for x in labels) / config.trials,
-            })
+            rows.append((n, budget, config.trials,
+                         sum(x != label for x in labels) / config.trials))
         return rows
 
-    return [row for rows in _per_n(config, true_dist.k, cells) for row in rows]
+    columns = ("n", "budget", "trials", "misclassification_rate")
+    return columns, [row for rows in _per_n(config, true_dist.k, cells) for row in rows]
 
 
 def _per_n(config: ExperimentConfig, k: int, job: Callable[[int], Any]) -> list:
@@ -498,26 +494,25 @@ def _collect(pid: int, fd: int, part: list[int]) -> tuple[list, Failure | None]:
             "sent no readable results"))
 
 
-def format_csv(columns: Sequence[str], rows: Iterable[Sequence[Any]]) -> str:
+def format_csv(columns: Sequence[str], rows: Sequence[tuple]) -> str:
     """Floats as ``%.12g`` (the bytes of ``format(v, ".12g")``), the rest as
-    ``str``, by one template per row shape (its cells' types)."""
-    templates: dict[tuple[type, ...], str] = {}
+    ``str``, by one template built from the first row's types: each column
+    holds one type."""
     lines = [",".join(columns)]
-    for row in rows:
-        shape = tuple(map(type, row))
-        if shape not in templates:
-            templates[shape] = ",".join("%.12g" if issubclass(t, float) else "%s" for t in shape)
-        lines.append(templates[shape] % tuple(row))
+    if rows:
+        template = ",".join("%.12g" if isinstance(v, float) else "%s" for v in rows[0])
+        lines += [template % row for row in rows]
     return "\n".join(lines) + "\n"
 
 
 def run_and_format(config: ExperimentConfig) -> str:
-    """Run the configured experiment and return its serialised output.
-    A config's grids and trials are non-empty, so there is a first row."""
-    rows = EXPERIMENTS[config.experiment].run(config)
+    """Run the configured experiment and return its serialised output."""
+    columns, rows = EXPERIMENTS[config.experiment].run(config)
     if config.fmt == "json":
-        return json.dumps(rows, indent=2) + "\n"
-    return format_csv(tuple(rows[0]), (tuple(row.values()) for row in rows))
+        records = [dict(zip(columns, row)) for row in rows]
+        del rows  # the tuples go before the encoder's chunks peak
+        return json.dumps(records, indent=2) + "\n"
+    return format_csv(columns, rows)
 
 
 def write_output(text: str, path: str | None) -> None:

@@ -33,6 +33,7 @@ from corrlearn.teacher import replay_all
 from oracles import (
     BinomialThresholdPolicy, brute_force_value, expected_online_error,
 )
+from test_experiments import as_dicts
 
 ACCEPT_SEED = 20260811
 
@@ -166,10 +167,10 @@ def test_criterion_6_variance_trend():
     estimate is monotone on this grid, so the clause cannot hold.
     """
     start = time.perf_counter()
-    rows = run_variance_sweep(ExperimentConfig(
+    rows = as_dicts(run_variance_sweep(ExperimentConfig(
         experiment="variance", seed=ACCEPT_SEED,
         n_values=(5, 10, 15, 20, 25), budgets=(0, 1, 2), trials=2000,
-    ))
+    )))
     elapsed = time.perf_counter() - start
     cells = {(r["n"], r["budget"]): r["var_first"] for r in rows}
     n_grid = (5, 10, 15, 20, 25)
@@ -199,10 +200,10 @@ def test_criterion_6_variance_trend():
 
 def test_criterion_7_multinomial_mean_improvement():
     start = time.perf_counter()
-    records = run_multinomial(ExperimentConfig(
+    records = as_dicts(run_multinomial(ExperimentConfig(
         experiment="multinomial", seed=ACCEPT_SEED, trials=50,
         n_values=(5,), budgets=(1,),
-    ))
+    )))
     elapsed = time.perf_counter() - start
     mean_orig = sum(r["error_original"] for r in records) / len(records)
     mean_online = sum(r["error_online"] for r in records) / len(records)
@@ -218,10 +219,10 @@ def test_criterion_7_multinomial_mean_improvement():
 
 def test_criterion_8_bio_misclassification():
     start = time.perf_counter()
-    rows = run_bio(ExperimentConfig(
+    rows = as_dicts(run_bio(ExperimentConfig(
         experiment="bio", seed=ACCEPT_SEED, trials=1000,
         n_values=(10,), budgets=(0, 1, 2),
-    ))
+    )))
     elapsed = time.perf_counter() - start
     rate = {r["budget"]: r["misclassification_rate"] for r in rows}
     ok = rate[0] > rate[1] >= rate[2] and rate[2] <= 0.02 and elapsed < 300

@@ -28,6 +28,7 @@ from corrlearn.experiments import (
 from corrlearn.likelihood import default_candidates
 from corrlearn.mdp import state_count_bound
 from corrlearn.teacher import per_distinct_counts
+from oracles import traced_memory
 from test_likelihood import write_candidates
 
 
@@ -60,6 +61,12 @@ def config(**kwargs):
     kwargs.setdefault("experiment", "multinomial")
     kwargs.setdefault("seed", 4242)
     return ExperimentConfig(**kwargs)
+
+
+def as_dicts(table):
+    """A runner's ``(columns, rows)`` as one dict per row, keyed by column."""
+    columns, rows = table
+    return [dict(zip(columns, row)) for row in rows]
 
 
 class TestConfig:
@@ -120,14 +127,14 @@ class TestRecordInvariants:
 
 class TestMultinomialRunner:
     def test_zero_budget_reproduces_original(self):
-        records = run_multinomial(config(trials=10, budgets=(0,)))
+        records = as_dicts(run_multinomial(config(trials=10, budgets=(0,))))
         assert len(records) == 10
         for r in records:
             assert r["error_online"] == r["error_original"]
             assert r["budget_spent"] == 0
 
     def test_default_shape_and_improvement(self):
-        records = run_multinomial(config(trials=50))
+        records = as_dicts(run_multinomial(config(trials=50)))
         assert len(records) == 50
         mean_orig = sum(r["error_original"] for r in records) / len(records)
         mean_online = sum(r["error_online"] for r in records) / len(records)
@@ -137,7 +144,7 @@ class TestMultinomialRunner:
 
     def test_full_budget_reaches_the_floor_everywhere(self):
         floor = e_min(5, Categorical((0.4, 0.3, 0.3))).error
-        records = run_multinomial(config(trials=25, budgets=(5,)))
+        records = as_dicts(run_multinomial(config(trials=25, budgets=(5,))))
         for r in records:
             assert r["error_online"] == pytest.approx(floor, abs=1e-12)
             assert r["error_batch"] == pytest.approx(floor, abs=1e-12)
@@ -167,14 +174,14 @@ class TestMultinomialRunner:
 
 class TestBinomialRunner:
     def test_online_matches_attainable_on_every_record(self):
-        records = run_binomial(config(experiment="binomial", trials=50))
+        records = as_dicts(run_binomial(config(experiment="binomial", trials=50)))
         for r in records:
             assert r["error_attainable"] is not None
             assert r["error_online"] == pytest.approx(r["error_attainable"], abs=1e-12)
             assert r["error_online"] <= r["error_original"] + 1e-12
 
     def test_zero_budget_collapses_the_columns(self):
-        records = run_binomial(config(experiment="binomial", trials=20, budgets=(0,)))
+        records = as_dicts(run_binomial(config(experiment="binomial", trials=20, budgets=(0,))))
         for r in records:
             assert r["error_online"] == r["error_original"] == r["error_attainable"]
             assert r["error_batch"] == r["error_original"]
@@ -186,9 +193,9 @@ class TestBinomialRunner:
 
 class TestVarianceRunner:
     def test_budget_reduces_variance(self):
-        rows = run_variance_sweep(config(
+        rows = as_dicts(run_variance_sweep(config(
             experiment="variance", n_values=(6, 9), budgets=(0, 1), trials=400,
-        ))
+        )))
         cells = {(r["n"], r["budget"]): r for r in rows}
         for n in (6, 9):
             assert cells[(n, 1)]["var_first"] < cells[(n, 0)]["var_first"]
@@ -199,10 +206,10 @@ class TestVarianceRunner:
         # theta (1 - theta) / n
         theta = 0.5
         n, trials = 10, 4000
-        rows = run_variance_sweep(config(
+        rows = as_dicts(run_variance_sweep(config(
             experiment="variance", theta0=(theta, 1 - theta),
             n_values=(n,), budgets=(0,), trials=trials,
-        ))
+        )))
         truth = theta * (1 - theta) / n
         # normal-approximation SE of a sample variance
         se = truth * (2 / (trials - 1)) ** 0.5
@@ -211,10 +218,10 @@ class TestVarianceRunner:
 
 class TestBoundsRunner:
     def test_grid_and_columns(self):
-        reports = run_bounds(config(
+        reports = as_dicts(run_bounds(config(
             experiment="bounds", n_values=(5,), m_values=(1, 2), budgets=(0, 2),
             trials=2000,
-        ))
+        )))
         assert [(r["N"], r["M"], r["B"]) for r in reports] == [
             (5, 1, 0), (5, 1, 2), (5, 2, 0), (5, 2, 2),
         ]
@@ -247,9 +254,9 @@ class TestBoundsRunner:
 
 class TestBioRunner:
     def test_rates_fall_with_budget(self):
-        rows = run_bio(config(
+        rows = as_dicts(run_bio(config(
             experiment="bio", n_values=(8,), budgets=(0, 1), trials=400,
-        ))
+        )))
         but = {r["budget"]: r["misclassification_rate"] for r in rows}
         assert but[0] > but[1]
 
@@ -306,6 +313,17 @@ class TestOutputFormats:
         assert len(rows) == csv_text.count("\n") - 1 > 0
         # the JSON rows carry the CSV's columns and values exactly
         assert format_csv(tuple(rows[0]), [tuple(r.values()) for r in rows]) == csv_text
+        # CSV formats every row by its first row's types: one type per column
+        _, table = EXPERIMENTS[fields["experiment"]].run(config(**fields))
+        assert {tuple(map(type, row)) for row in table} == {tuple(map(type, table[0]))}
+
+    def test_peak_memory_per_row(self):
+        # multinomial at budgets 0-3 emits 4 (trial, budget) rows per trial
+        def formatted(trials):
+            return run_and_format(config(trials=trials, n_values=(5,), budgets=(0, 1, 2, 3)))
+
+        _, peak = traced_memory(lambda: formatted(20_000), lambda: formatted(100))
+        assert peak <= 360 * 20_000 * 4
 
     def test_repeat_runs_are_byte_identical(self):
         cfg = config(experiment="binomial", trials=10)
