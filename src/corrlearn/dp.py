@@ -22,10 +22,10 @@ from .mdp import (
     state_count_bound,
 )
 
-# A solve's peak RSS grows by 146-153 bytes per unit of ``state_count_bound``
+# A solve's peak RSS grows by 107-109 bytes per unit of ``state_count_bound``
 # (measured at (k, n, budget) = (3, 25, 2), (3, 40, 3), (3, 60, 3) and
 # (4, 15, 2) as the process's VmHWM growth over the solve, Python 3.11), so
-# a solve at the 5M-unit ceiling peaks near 0.8 GB, well inside 2 GB.
+# a solve at the 5M-unit ceiling peaks near 0.55 GB, well inside 2 GB.
 DEFAULT_STATE_CEILING = 5_000_000
 
 
@@ -103,6 +103,7 @@ def solve(spec: MdpSpec, budgets: Iterable[int]) -> Policy:
     }
     ahead = {pair: reward[pair[0]] for pair in finals}
     actions: dict[int, dict[TeacherState, Action]] = {}
+    decided = [Action(t) for t in range(spec.k)]  # one instance per target, shared
     for stage in range(spec.n, 0, -1):
         stage_actions: dict[TeacherState, Action] = {}
         behind: dict[tuple[tuple[int, ...], int], float] = {}
@@ -121,7 +122,7 @@ def solve(spec: MdpSpec, budgets: Iterable[int]) -> Policy:
                         best = value
                         best_action = action
                 assert best_action is not None
-                stage_actions[state] = best_action
+                stage_actions[state] = decided[best_action.target]
                 total += p * best
             behind[(counts, budget)] = total
         actions[stage] = stage_actions

@@ -8,6 +8,9 @@ answers to check the package's production paths against.
 - ``expected_online_error``: exact forward evaluation of any policy.
 - ``project_sum``: the scalar projection that ``bounds.monte_carlo_report``
   vectorises.
+- ``uniform_sum_moments``: exact variance and fourth central moment of
+  the raw and the projected mean estimate that ``monte_carlo_report``
+  samples, by integer convolution.
 - ``traced_memory``: the bytes a call leaves allocated and its peak,
   under ``tracemalloc``, for the memory tests.
 
@@ -26,6 +29,7 @@ from __future__ import annotations
 import math
 import tracemalloc
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Any, Callable
 
 from corrlearn.core import Categorical, CeilingExceededError, CountVector
@@ -138,6 +142,33 @@ def project_sum(y: int, target: float, budget: int, upper: int | None = None) ->
     # The optimum is floor(target) or ceil(target) clipped into the window.
     cands = {min(max(math.floor(target), lo), hi), min(max(math.ceil(target), lo), hi)}
     return min(cands, key=lambda z: (abs(z - target), z))
+
+
+def uniform_sum_moments(n: int, m: int, b: int) -> tuple[tuple[Fraction, Fraction], ...]:
+    """Exact ``(variance, fourth central moment)`` of Y/n and of Y~/n, as
+    ``Fraction``s, where Y sums n i.i.d. uniform draws on {0..m} and
+    Y~ = Y + clip(n*m // 2 - Y, -b, b), ``monte_carlo_report``'s projection.
+
+    Y's distribution is the n-fold convolution of m + 1 unit weights, in
+    Python ints, so a pinned Y~ has moments of exactly 0.
+    """
+    ways = [1]  # ways[y]: the number of draw sequences that sum to y
+    for _ in range(n):
+        wider = [0] * (len(ways) + m)
+        for y, w in enumerate(ways):
+            for step in range(m + 1):
+                wider[y + step] += w
+        ways = wider
+    total = (m + 1) ** n
+
+    def moments(values: list[int]) -> tuple[Fraction, Fraction]:
+        mean = Fraction(sum(w * v for w, v in zip(ways, values)), total)
+        var = sum(w * (v - mean) ** 2 for w, v in zip(ways, values)) / total
+        mu4 = sum(w * (v - mean) ** 4 for w, v in zip(ways, values)) / total
+        return var / n**2, mu4 / n**4
+
+    sums = range(n * m + 1)
+    return moments(list(sums)), moments([y + max(-b, min(b, n * m // 2 - y)) for y in sums])
 
 
 def traced_memory(call: Callable[[], Any], warm_up: Callable[[], Any]) -> tuple[int, int]:

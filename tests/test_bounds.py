@@ -1,6 +1,10 @@
+import csv
 import functools
+import json
 import math
 import random
+from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,7 +27,7 @@ from corrlearn.bounds import (
 )
 from corrlearn.core import spawn
 from corrlearn.dp import CeilingExceededError
-from oracles import project_sum, traced_memory
+from oracles import project_sum, traced_memory, uniform_sum_moments
 
 
 def brute_project(y, target, budget, upper=None):
@@ -292,15 +296,6 @@ def projected_support(n, m, b, mu):
     return np.array([project_sum(y, n * mu, b, upper=n * m) for y in range(n * m + 1)])
 
 
-def uniform_exact_moments(n, m, b):
-    """Exact (variance, fourth central moment) of Y/n and of the projected
-    sum over n, where Y sums n uniform draws on {0..m}; the target n*m/2 is
-    monte_carlo_report's, so half-integer ties agree."""
-    pmf = sum_pmf(n, np.full(m + 1, 1 / (m + 1)))
-    return [central_moments(pmf, values / n)
-            for values in (np.arange(n * m + 1), projected_support(n, m, b, m / 2))]
-
-
 class TestExactOracle:
     TRIALS = 20_000
 
@@ -309,7 +304,7 @@ class TestExactOracle:
     ])
     def test_monte_carlo_within_three_sigma_of_exact(self, n, m, b):
         report = monte_carlo_report(n, m, b, self.TRIALS, spawn(2024, [(n, m, b)])[0])
-        exact = uniform_exact_moments(n, m, b)
+        exact = uniform_sum_moments(n, m, b)
         empirical = (report.empirical_var_original, report.empirical_var_corrected)
         t = self.TRIALS
         for value, (var, mu4) in zip(empirical, exact):
@@ -321,7 +316,7 @@ class TestExactOracle:
     @given(n=st.integers(1, 30), m=st.sampled_from((1, 2, 3, 4, 6, 8)), data=st.data())
     def test_exact_corrected_variance_within_absolute_bound(self, n, m, data):
         b = data.draw(st.integers(0, min(n * m, 40)))
-        (_, _), (var_corr, _) = uniform_exact_moments(n, m, b)
+        (_, _), (var_corr, _) = uniform_sum_moments(n, m, b)
         assert var_corr <= var_bound_abs(n, m, b)
 
     def test_exact_ratio_within_the_paper_ratio_bound(self):
@@ -342,3 +337,26 @@ class TestExactOracle:
                         largest_moved_share = max(largest_moved_share,
                                                   var_corr / var_orig / bound)
         assert largest_moved_share < 0.775
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+def golden_rows(name):
+    """The rows of a ``bounds`` golden file, CSV or JSON."""
+    text = (GOLDEN / f"{name}.txt").read_text()
+    return json.loads(text) if name.endswith("_json") else list(csv.DictReader(text.splitlines()))
+
+
+# bounds_huge_m is left out: at m near 2**32 the exact pmf has ~10**10 sums
+@pytest.mark.parametrize("name", ["bounds_small", "bounds_chunked", "bounds_json"])
+def test_golden_variances_within_four_sigma_of_exact(name):
+    # the worst of the 20 distinct rows is 2.44 sigma, var_corr at (25, 1, 3);
+    # pinned sums read exactly 0, as their exact moments are
+    for row in golden_rows(name):
+        n, m, b, t = (int(row[column]) for column in ("N", "M", "B", "trials"))
+        exact = uniform_sum_moments(n, m, b)
+        for column, (var, mu4) in zip(("var_orig", "var_corr"), exact):
+            # squared standard error of a sample variance, from its fourth moment
+            se2 = (mu4 - var**2 * Fraction(t - 3, t - 1)) / t
+            assert (Fraction(float(row[column])) - var) ** 2 <= 16 * se2, (name, row, column)

@@ -217,11 +217,12 @@ class TestPolicyAndTable:
         # the (4, 15, 2) policy retained 11.5 MiB while it kept a value per
         # state beside each action, 10.0 MiB with the actions alone, and
         # 5.1 MiB once states and actions carry no __dict__ and the states
-        # of a stage share one counts tuple per count vector
+        # of a stage share one counts tuple per count vector, and 3.7 MiB
+        # once every state's decision is one of k shared Action instances
         theta = Categorical((0.4, 0.3, 0.2, 0.1))
         retained, _ = traced_memory(lambda: solve(spec_for(theta, 15), (2,)),
                                     lambda: solve(spec_for(theta, 2), (1,)))
-        assert retained <= 6.5 * 2**20
+        assert retained <= 4.5 * 2**20
 
     def test_states_of_a_stage_share_one_counts_tuple_per_vector(self):
         policy = solve(spec_for(Categorical((0.4, 0.3, 0.3)), 25), (2,))
@@ -231,6 +232,8 @@ class TestPolicyAndTable:
         # every count vector with 1 <= sum <= 25, C(28, 3) - 1, held once
         assert len({state.counts for state, _ in chosen}) == 3_275
         assert len({id(state.counts) for state, _ in chosen}) == 3_275
+        # and every decision is one of the k shared Action instances
+        assert len({id(action) for _, action in chosen}) <= 3
         assert not any(hasattr(state, "__dict__") or hasattr(action, "__dict__")
                        for state, action in chosen)
 

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from corrlearn import teacher
-from corrlearn.batch import attainable_error, batch_correct
+from corrlearn.batch import attainable_error, batch_correct, e_min
 from corrlearn.core import (
     Categorical,
     CountVector,
@@ -269,6 +269,32 @@ class TestMultinomialBehaviour:
                 err = online_error(row, policy, budget, theta)
                 batch = batch_correct(tally(row, 3), theta, budget).error
                 assert batch <= err + 1e-12
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        weights=st.integers(2, 4).flatmap(
+            lambda k: st.lists(st.integers(0, 9), min_size=k, max_size=k)
+        ).filter(any),
+        n=st.integers(1, 8),
+        budgets=st.sets(st.integers(0, 3), min_size=1),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_batch_lies_between_the_floor_and_online_on_any_alphabet(
+        self, weights, n, budgets, seed
+    ):
+        theta = Categorical(tuple(w / sum(weights) for w in weights))
+        streams = sample_sequence(theta, n, spawn(seed, [(t,) for t in range(8)]))
+        originals = [tally(row, theta.k) for row in streams]
+        floor = e_min(n, theta).error
+        for budget, (rows, which), _ in replays(
+            streams, theta, l1_terminal_reward(theta), sorted(budgets)
+        ):
+            for original, row in zip(originals, rows[which].tolist()):
+                online = l1_error(empirical_estimate(CountVector(tuple(row))), theta)
+                batch = batch_correct(original, theta, budget).error
+                # the floor is exact, so only float rounding can put batch under it
+                assert floor <= batch + 1e-12
+                assert batch <= online + 1e-12
 
 
 class TestExpectedOnlineError:
