@@ -47,8 +47,7 @@ MIN_TRIALS = 1000
 CHUNK_ROWS = 8192
 # A grid point's peak RSS grows by 24 bytes per trial whatever n is: the
 # sums, the corrected sums and np.var's float copy (VmHWM growth at 2-4M
-# trials, n in {5, 25, 100}, Python 3.11). So 50M trials take ~1.2 GB,
-# below the solver ceiling's ~2 GB.
+# trials, n in {5, 25, 100}, Python 3.11). So 50M trials take ~1.2 GB.
 MAX_TRIALS = 50_000_000
 
 

@@ -17,7 +17,7 @@ points of ``bounds`` (cost: n, as a point draws trials * n values). Output
 is identical to a serial run, and there is no flag. They fork only while
 all the jobs at once stay within the ceilings one job may use (the state
 ceiling and ``MAX_DRAWS`` for n keys, ``bounds.MAX_TRIALS`` trials for grid
-points, so within about 2 GB), and run serially otherwise, where
+points, so within about 1.5 GB), and run serially otherwise, where
 ``os.sched_getaffinity`` is missing (macOS, Windows) and while another
 Python thread runs. Every n's solve and every grid point is checked
 against its ceilings before the first draw.
@@ -50,12 +50,14 @@ from .teacher import distinct_rows, per_distinct_counts, replays
 Table = tuple[tuple[str, ...], list[tuple]]  # (column names, one tuple per row)
 
 # A sampled run's peak RSS grows by 10-36 bytes per draw unit: trials *
-# (largest n + 8 * (1 + rows per trial)), a trial's seed and each row it emits
-# costing about 8 draws (VmHWM growth of multinomial at 20k-100k trials, n in
-# {1, 5, 10, 25, 50}, 1 or 4 budgets, Python 3.11). So 25M units stay below 0.9 GB.
-# The lockstep replay's index arrays, ~40 B per (trial, budget), fit that row
-# charge: multinomial at 100k trials, n=50, budgets 0-3 grew 114 MiB.
+# (largest n + 8 + ROW_UNITS[format] * rows per trial), a trial's seed costing
+# about 8 draws (VmHWM growth of multinomial at 20k-100k trials, n in {1, 5,
+# 10, 25, 50}, 1 or 4 budgets, Python 3.11), so 25M units stay below 0.9 GB.
+# A row grew VmHWM by 0.32-0.43 KB in CSV, 2.0-2.2 KB in JSON (10k-20k trials,
+# n in {1, 5, 25}); the replay's index arrays, ~40 B per (trial, budget), fit
+# the CSV charge (100k trials, n=50, budgets 0-3 grew 114 MiB).
 MAX_DRAWS = 25_000_000
+ROW_UNITS = {"csv": 8, "json": 64}
 
 
 class Experiment(NamedTuple):
@@ -238,7 +240,7 @@ def _theta(config: ExperimentConfig) -> Categorical:
 
 
 def _draw_units(config: ExperimentConfig, n: int, rows_per_trial: int = 0) -> int:
-    return config.trials * (n + 8 * (1 + rows_per_trial))
+    return config.trials * (n + 8 + ROW_UNITS[config.fmt] * rows_per_trial)
 
 
 def _check_draws(config: ExperimentConfig, rows_per_trial: int = 0) -> None:

@@ -23,17 +23,11 @@ class BudgetExhaustedError(ValueError):
 
 @dataclass(frozen=True, slots=True)
 class TeacherState:
+    """Not re-checked: its only builders, ``arrivals`` and ``teacher._replay``, build it valid."""
+
     counts: tuple[int, ...]
     budget: int
     last_obs: int
-
-    def __post_init__(self) -> None:
-        if self.budget < 0:
-            raise ValueError("budget must be nonnegative")
-        if not 0 <= self.last_obs < len(self.counts):
-            raise ValueError("last observation outside the alphabet")
-        if self.counts[self.last_obs] < 1:
-            raise ValueError("the current observation must already be tallied")
 
     @property
     def stage(self) -> int:

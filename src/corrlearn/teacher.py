@@ -29,6 +29,8 @@ class TeacherPolicy(Protocol):
 
 
 def _check_policy(policy: TeacherPolicy, k: int, n: int, budget: int) -> None:
+    if budget < 0:
+        raise ValueError("budget must be nonnegative")
     solved = (getattr(policy, "k", None), getattr(policy, "n", None),
               getattr(policy, "budgets", None))
     if solved[0] not in (None, k) or solved[1] not in (None, n) \

@@ -20,7 +20,7 @@ from corrlearn.mdp import (
 )
 from corrlearn.likelihood import bio_terminal_reward, default_candidates
 from oracles import brute_force_value, traced_memory
-from test_mdp import reachable_states
+from test_mdp import assert_valid_state, reachable_states
 
 
 def spec_for(theta, n):
@@ -193,6 +193,8 @@ class TestPolicyAndTable:
         assert sorted(policy.stages) == sorted(reachable)
         for stage, states in reachable.items():
             assert set(policy.stages[stage]) == states
+            for state in policy.stages[stage]:
+                assert_valid_state(state, stage, spec.k, budget)
 
     def test_terminal_reward_evaluated_once_per_final_vector(self):
         theta = Categorical((0.4, 0.3, 0.3))

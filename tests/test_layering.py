@@ -1,6 +1,7 @@
-"""Module layering, read from the package's import statements with ``ast``:
-the model modules build only on ``core`` and ``mdp``, and ``experiments``
-is the one module that samples streams or replays the teacher on them."""
+"""Module layering, read from the package's source with ``ast``: the model
+modules build only on ``core`` and ``mdp``, ``experiments`` is the one
+module that samples streams or replays the teacher on them, and only
+``mdp.arrivals`` and ``teacher._replay`` build decision-process states."""
 
 import ast
 from pathlib import Path
@@ -34,3 +35,20 @@ def test_only_experiments_samples_and_replays():
         for _, name in imports(path.stem) if name in ("sample_sequence", "replays")
     }
     assert users == {"experiments"}
+
+
+def test_only_arrivals_and_replay_build_states():
+    # ``TeacherState`` does not check itself; these two builders keep it valid
+    builders = set()
+    for path in PACKAGE.glob("*.py"):
+        tree = ast.parse(path.read_text())
+        caller = {}  # each call -> the innermost function around it
+        for function in ast.walk(tree):
+            if isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                for node in ast.walk(function):
+                    caller[node] = getattr(function, "name", "<lambda>")
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and "TeacherState" in (
+                    getattr(node.func, "id", None), getattr(node.func, "attr", None)):
+                builders.add((path.stem, caller.get(node)))
+    assert builders == {("mdp", "arrivals"), ("teacher", "_replay")}

@@ -31,6 +31,7 @@ from corrlearn.teacher import (
     replays,
 )
 from oracles import BinomialThresholdPolicy, expected_online_error, traced_memory
+from test_mdp import assert_valid_state
 
 
 def spec_for(theta, n):
@@ -446,6 +447,19 @@ class TestReplayAll:
         with pytest.raises(ValueError, match=f"action target {target} outside the alphabet"):
             replay_all(np.array([(0, 1, 1), (1, 1, 0), (0, 0, 0)]), 2, Outside(), 1)
 
+    def test_negative_start_budget_raises_for_any_policy(self):
+        class Keep:
+            def action_for(self, state):
+                return Action(state.last_obs)
+
+        streams = np.array([(0, 1, 1)])
+        with pytest.raises(ValueError, match="budget must be nonnegative"):
+            replay_all(streams, 2, Keep(), -1)
+        with pytest.raises(ValueError, match="budget must be nonnegative"):
+            teacher._replay(streams, 2, Keep(), (1, -1))
+        with pytest.raises(ValueError, match="budget must be nonnegative"):
+            expected_online_error(Keep(), Categorical((0.5, 0.5)), 3, -1)
+
     def test_distinct_rows_are_sorted_with_each_rows_position(self):
         rows = np.array([(1, 0, 2), (0, 3, 1), (1, 0, 2), (0, 3, 0)])
         distinct, which = teacher.distinct_rows(rows)
@@ -538,6 +552,11 @@ class TestReplays:
         list(replays(streams, theta, l1_terminal_reward(theta), (0, 1, 2)))
         assert {state.budget for state in asked} == {0, 1, 2}
         assert len(asked) == len(set(asked))
+        # asked stage by stage, each state valid for its stage
+        stages = [sum(state.counts) for state in asked]
+        assert stages == sorted(stages) and set(stages) == set(range(1, 7))
+        for stage, state in zip(stages, asked):
+            assert_valid_state(state, stage, 3, 2)
 
     def test_one_solve_serves_every_budget(self, monkeypatch):
         calls = []
