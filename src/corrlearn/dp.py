@@ -3,13 +3,14 @@
 Post-decision form: a forward pass collects, per stage, the (counts,
 budget) pairs left by every feasible decision; the backward pass values
 each pair once, W(counts, budget), as the expectation over the next
-observation's arrivals.
+observation's arrivals. Only W is kept; actions are derived on demand.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass
-from typing import Iterable
+from functools import cache
 
 from .core import CeilingExceededError, CountVector
 from .mdp import (
@@ -22,32 +23,70 @@ from .mdp import (
     state_count_bound,
 )
 
-# A solve's peak RSS grows by 107-109 bytes per unit of ``state_count_bound``
+# A solve's peak RSS grows by 63-77 bytes per unit of ``state_count_bound``
 # (measured at (k, n, budget) = (3, 25, 2), (3, 40, 3), (3, 60, 3) and
 # (4, 15, 2) as the process's VmHWM growth over the solve, Python 3.11), so
-# a solve at the 5M-unit ceiling peaks near 0.55 GB, well inside 2 GB.
+# a solve at the 5M-unit ceiling peaks near 0.4 GB, well inside 2 GB. With
+# ``policy_dump``'s text on top it grows by 196-204 bytes a unit, near 1 GB.
 DEFAULT_STATE_CEILING = 5_000_000
+
+_shared_action = cache(Action)  # one instance per target, shared by every decision
 
 
 @dataclass(frozen=True)
 class Policy:
-    """Per-stage maps from reachable state to the chosen action, and the
-    optimal expected reward before the first draw per start budget."""
+    """W per post-decision pair at every stage, and the optimal expected
+    reward before the first draw per start budget. Each action is derived
+    from W when it is asked for; ``stages`` is a view that derives them all."""
 
-    k: int
-    n: int
+    spec: MdpSpec  # what ``arrivals`` needs to rebuild a stage's states
     budgets: tuple[int, ...]  # the start budgets it serves
-    stages: dict[int, dict[TeacherState, Action]]
+    values: list[dict[tuple[tuple[int, ...], int], float]]  # W_t for t = 0..n
     root_values: dict[int, float]  # W((0,)*k, b) for each b in budgets
+    k = property(lambda self: self.spec.k)
+    n = property(lambda self: self.spec.n)
+    stages = property(lambda self: StageView(self))  # every reachable state's action
 
     def action_for(self, state: TeacherState) -> Action:
-        try:
-            return self.stages[state.stage][state]
-        except KeyError:
-            raise KeyError(
-                f"state {state} not covered by the policy; it was solved for "
-                f"k={self.k}, n={self.n}, budgets={self.budgets}"
-            ) from None
+        """The first strictly best of keep, then changes by ascending target,
+        by the W each leads to; ``KeyError`` if no start reaches ``state``."""
+        counts, budget, seen, stage = state.counts, state.budget, state.last_obs, state.stage
+        before = list(counts)  # the pair the state arrived from
+        before[seen] -= 1
+        if not (1 <= stage <= self.n and self.spec.model.probs[seen] > 0.0
+                and (tuple(before), budget) in self.values[stage - 1]):
+            raise KeyError(f"state {state} not covered by the policy; it was solved "
+                           f"for k={self.k}, n={self.n}, budgets={self.budgets}")
+        after, target = self.values[stage], seen
+        best = after[counts, budget]
+        for u in range(self.k) if budget else ():
+            before[u] += 1
+            if u != seen and after[tuple(before), budget - 1] > best:
+                target, best = u, after[tuple(before), budget - 1]
+            before[u] -= 1
+        return _shared_action(target)
+
+
+class StageView(Mapping):
+    """A policy's read-only ``{stage: {state: action}}``: reading a stage
+    rebuilds its states through ``arrivals`` and derives every action anew."""
+
+    def __init__(self, policy: Policy) -> None:
+        self.policy = policy
+
+    def __getitem__(self, stage: int) -> dict[TeacherState, Action]:
+        if stage not in range(1, self.policy.n + 1):
+            raise KeyError(stage)
+        shared: dict[tuple[int, ...], tuple[int, ...]] = {}  # one tuple per count vector
+        return {state: self.policy.action_for(state)
+                for counts, budget in self.policy.values[stage - 1]
+                for state, _ in arrivals(counts, budget, self.policy.spec, shared)}
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(range(1, self.policy.n + 1))
+
+    def __len__(self) -> int:
+        return self.policy.n
 
 
 def check_state_bound(k: int, n: int, budget: int) -> int:
@@ -67,11 +106,12 @@ def solve(spec: MdpSpec, budgets: Iterable[int]) -> Policy:
 
     Reachability is taken under all feasible actions, not just optimal
     ones, so the returned policy covers any replay a budget-respecting
-    teacher can produce. Each state takes its best action by the W of the
-    pair it leads to, and the terminal reward is scored once per distinct
-    final count vector. Ties break toward keeping, then toward the
-    smallest change target; improvements must be strict, which makes the
-    tie-breaking exact (equal subtrees yield bit-equal values).
+    teacher can produce. The backward pass values pairs only, each arrival
+    at the better of keeping it and its best change; ``Policy.action_for``
+    derives actions from the same W. The terminal reward is scored once
+    per distinct final count vector. Ties break toward keeping, then
+    toward the smallest change target; improvements must be strict, which
+    makes the tie-breaking exact (equal subtrees yield bit-equal values).
 
     The forward pass starts from every one of ``budgets``. W(counts,
     budget) does not depend on the start, and each pair is valued from the
@@ -101,46 +141,36 @@ def solve(spec: MdpSpec, budgets: Iterable[int]) -> Policy:
         counts: spec.reward.evaluate(CountVector(counts))
         for counts in {counts for counts, _ in finals}
     }
-    ahead = {pair: reward[pair[0]] for pair in finals}
-    actions: dict[int, dict[TeacherState, Action]] = {}
-    decided = [Action(t) for t in range(spec.k)]  # one instance per target, shared
-    for stage in range(spec.n, 0, -1):
-        stage_actions: dict[TeacherState, Action] = {}
-        behind: dict[tuple[tuple[int, ...], int], float] = {}
-        shared: dict[tuple[int, ...], tuple[int, ...]] = {}  # one tuple per count vector
+    values = [{pair: reward[pair[0]] for pair in finals}]
+    outcomes = [(v, p) for v, p in enumerate(spec.model.probs) if p > 0.0]
+    for _ in range(spec.n):
+        ahead, behind = values[-1], {}
         for counts, budget in pairs.pop():
+            up = [counts[:u] + (c + 1,) + counts[u + 1:] for u, c in enumerate(counts)]  # + e_u
+            # W of changing an arrival to u: absent only where no other outcome arrives
+            changed = [ahead.get((c, budget - 1)) for c in up] if budget else []
             # W is added up left to right in outcome order, not with the
             # builtin ``sum``: that is compensated from Python 3.12, which
             # would make values, and so near-tie decisions, version-dependent.
             total = 0.0
-            for state, p in arrivals(counts, budget, spec, shared):
-                best = float("-inf")
-                best_action: Action | None = None
-                for action in feasible_actions(state, spec.k):
-                    value = ahead[apply_action(state, action)]
-                    if value > best:
+            for v, p in outcomes:
+                best = ahead[up[v], budget]
+                for u, value in enumerate(changed):
+                    if u != v and value > best:
                         best = value
-                        best_action = action
-                assert best_action is not None
-                stage_actions[state] = decided[best_action.target]
                 total += p * best
-            behind[(counts, budget)] = total
-        actions[stage] = stage_actions
-        ahead = behind
-
-    return Policy(spec.k, spec.n, budgets, actions,
-                  {b: ahead[(0,) * spec.k, b] for b in budgets})
+            behind[counts, budget] = total
+        values.append(behind)
+    return Policy(spec, budgets, values[::-1], {b: behind[(0,) * spec.k, b] for b in budgets})
 
 
 def policy_dump(policy: Policy) -> str:
     """Deterministic text form, one ``stage,counts,budget,last_obs,action``
     row per state, sorted by (stage, counts, budget, last_obs)."""
     rows = []
-    for stage in sorted(policy.stages):
-        for state in sorted(
-            policy.stages[stage], key=lambda s: (s.counts, s.budget, s.last_obs)
-        ):
-            action = policy.stages[stage][state]
+    for stage, actions in policy.stages.items():
+        for state in sorted(actions, key=lambda s: (s.counts, s.budget, s.last_obs)):
+            action = actions[state]
             label = "keep" if action.target == state.last_obs else f"change->{action.target}"
             counts = "|".join(str(c) for c in state.counts)
             rows.append(f"{stage},{counts},{state.budget},{state.last_obs},{label}")

@@ -17,7 +17,7 @@ points of ``bounds`` (cost: n, as a point draws trials * n values). Output
 is identical to a serial run, and there is no flag. They fork only while
 all the jobs at once stay within the ceilings one job may use (the state
 ceiling and ``MAX_DRAWS`` for n keys, ``bounds.MAX_TRIALS`` trials for grid
-points, so within about 1.5 GB), and run serially otherwise, where
+points, so within about 1.3 GB), and run serially otherwise, where
 ``os.sched_getaffinity`` is missing (macOS, Windows) and while another
 Python thread runs. Every n's solve and every grid point is checked
 against its ceilings before the first draw.

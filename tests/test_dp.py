@@ -27,6 +27,20 @@ def spec_for(theta, n):
     return MdpSpec(n=n, model=theta, reward=l1_terminal_reward(theta))
 
 
+def counted_derivations(monkeypatch):
+    """The states ``Policy.action_for`` derives an action for from now on,
+    in the order asked."""
+    derived = []
+    action_for = dp.Policy.action_for
+
+    def counted(policy, state):
+        derived.append(state)
+        return action_for(policy, state)
+
+    monkeypatch.setattr(dp.Policy, "action_for", counted)
+    return derived
+
+
 def passive_expected_error(theta, counts, n):
     """Direct expectation of the final l1 error when nothing is ever
     changed, from the tallies `counts`. Independent of the solver."""
@@ -219,12 +233,42 @@ class TestPolicyAndTable:
         # the (4, 15, 2) policy retained 11.5 MiB while it kept a value per
         # state beside each action, 10.0 MiB with the actions alone, and
         # 5.1 MiB once states and actions carry no __dict__ and the states
-        # of a stage share one counts tuple per count vector, and 3.7 MiB
-        # once every state's decision is one of k shared Action instances
+        # of a stage share one counts tuple per count vector, 3.7 MiB once
+        # every state's decision is one of k shared Action instances, and
+        # 2.3 MiB once it keeps W per post-decision pair and no state at all
         theta = Categorical((0.4, 0.3, 0.2, 0.1))
         retained, _ = traced_memory(lambda: solve(spec_for(theta, 15), (2,)),
                                     lambda: solve(spec_for(theta, 2), (1,)))
-        assert retained <= 4.5 * 2**20
+        assert retained <= 2.75 * 2**20
+
+    @pytest.mark.parametrize("budget", [0, 1, 2])
+    @pytest.mark.parametrize("probs", [(0.4, 0.3, 0.3), (0.5, 0.5, 0.0)])
+    def test_action_for_covers_exactly_the_reachable_states(self, probs, budget):
+        # every count vector up to one past the horizon, every budget up to
+        # one past the start and every observation: covered iff reachable
+        spec = spec_for(Categorical(probs), 5)
+        policy = solve(spec, (budget,))
+        reachable = set().union(*reachable_states(spec, budget).values())
+        covered = set()
+        for counts in itertools.product(range(spec.n + 2), repeat=spec.k):
+            if sum(counts) > spec.n + 1:
+                continue
+            for left, seen in itertools.product(range(budget + 2), range(spec.k)):
+                state = TeacherState(counts, left, seen)
+                try:
+                    policy.action_for(state)
+                except KeyError as err:
+                    assert "not covered by the policy" in str(err)
+                else:
+                    covered.add(state)
+        assert covered == reachable
+
+    def test_solve_derives_no_action_and_the_dump_each_once(self, monkeypatch):
+        derived = counted_derivations(monkeypatch)
+        policy = solve(spec_for(Categorical((0.4, 0.3, 0.3)), 25), (2,))
+        assert derived == []
+        text = policy_dump(policy)
+        assert len(derived) == len(set(derived)) == text.count("\n") == 26_310
 
     def test_states_of_a_stage_share_one_counts_tuple_per_vector(self):
         policy = solve(spec_for(Categorical((0.4, 0.3, 0.3)), 25), (2,))

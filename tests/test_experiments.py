@@ -531,11 +531,12 @@ class TestCli:
     def test_uncovered_replay_state_exit_4(self, monkeypatch, capsys):
         # a policy missing the states a replay reaches is a bug, not bad input
         def empty_policy(spec, budgets):
-            return Policy(spec.k, spec.n, tuple(budgets), {}, {})
+            return Policy(spec, tuple(budgets), [{} for _ in range(spec.n + 1)], {})
 
         monkeypatch.setattr(teacher, "solve", empty_policy)
         assert cli.main(["multinomial", "--seed", "1", "--trials", "2"]) == 4
-        assert "internal error: " in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("internal error: ") and "not covered by the policy" in err
 
     def test_config_file_with_flag_override(self, tmp_path):
         cfg = tmp_path / "cfg.json"

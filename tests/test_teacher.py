@@ -31,6 +31,7 @@ from corrlearn.teacher import (
     replays,
 )
 from oracles import BinomialThresholdPolicy, expected_online_error, traced_memory
+from test_dp import counted_derivations
 from test_mdp import assert_valid_state
 
 
@@ -534,6 +535,7 @@ class TestReplays:
     def test_asks_the_policy_once_per_distinct_state_across_budgets(self, monkeypatch):
         # a budget-2 trial that has spent one unit is in a budget-1 trial's state
         asked = []
+        derived = counted_derivations(monkeypatch)
 
         class Recording:
             def __init__(self, policy):
@@ -552,6 +554,8 @@ class TestReplays:
         list(replays(streams, theta, l1_terminal_reward(theta), (0, 1, 2)))
         assert {state.budget for state in asked} == {0, 1, 2}
         assert len(asked) == len(set(asked))
+        # the solve derived no action of its own: each one asked, once
+        assert len(derived) == len(asked)
         # asked stage by stage, each state valid for its stage
         stages = [sum(state.counts) for state in asked]
         assert stages == sorted(stages) and set(stages) == set(range(1, 7))
